@@ -22,6 +22,11 @@
 // 0. CI uses this to hard-gate the stable serial matrix cell while the
 // parallel variants — pure scheduler noise on a 1-CPU runner — stay
 // warn-only.
+//
+// A benchmark that ran at a different GOMAXPROCS than its reference
+// entry is not compared: it prints as "procs-mismatch", and fails the
+// diff when it is hard-gated — a gate must compare like with like, not
+// pass because the run and the reference disagree on the machine shape.
 package main
 
 import (
@@ -198,6 +203,11 @@ type Delta struct {
 	Pct float64
 	// Regressed means Pct exceeds the caller's threshold.
 	Regressed bool
+	// ProcsMismatch means the reference holds the benchmark only at
+	// another GOMAXPROCS (OldProcs; Key.Procs is the new run's): the
+	// numbers are not compared, and Pct and Regressed stay zero.
+	ProcsMismatch bool
+	OldProcs      int
 }
 
 // Diff compares ns/op for every benchmark present in both reports.
@@ -207,9 +217,13 @@ type Delta struct {
 // relative change must not pass silently. Deltas keep newRep's benchmark
 // order; onlyOld and onlyNew list benchmarks without a comparable
 // counterpart — missing on the other side, or missing the ns/op metric
-// entirely — and never fail the diff.
+// entirely — and never fail the diff. A new benchmark whose reference
+// exists only at another GOMAXPROCS pairs with it as a ProcsMismatch
+// delta, uncompared.
 func Diff(oldRep, newRep *Report, thresholdPct float64) (deltas []Delta, onlyOld, onlyNew []string) {
+	type nameKey struct{ Pkg, Name string }
 	oldNs := make(map[benchKey]float64, len(oldRep.Benchmarks))
+	oldProcs := make(map[nameKey]int, len(oldRep.Benchmarks))
 	seen := make(map[benchKey]bool, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
 		k := benchKey{b.Pkg, b.Name, b.Procs}
@@ -221,11 +235,22 @@ func Diff(oldRep, newRep *Report, thresholdPct float64) (deltas []Delta, onlyOld
 		}
 		oldNs[k] = ns
 		seen[k] = false
+		if _, dup := oldProcs[nameKey{b.Pkg, b.Name}]; !dup {
+			oldProcs[nameKey{b.Pkg, b.Name}] = b.Procs
+		}
 	}
 	for _, b := range newRep.Benchmarks {
 		k := benchKey{b.Pkg, b.Name, b.Procs}
 		ns, hasNs := b.Metrics["ns/op"]
 		old, ok := oldNs[k]
+		if !ok && hasNs {
+			if p, other := oldProcs[nameKey{b.Pkg, b.Name}]; other {
+				ref := benchKey{b.Pkg, b.Name, p}
+				seen[ref] = true
+				deltas = append(deltas, Delta{Key: k, Old: oldNs[ref], New: ns, ProcsMismatch: true, OldProcs: p})
+				continue
+			}
+		}
 		if !ok || !hasNs {
 			onlyNew = append(onlyNew, k.Name)
 			continue
@@ -327,6 +352,15 @@ func runDiff(args []string, w io.Writer) int {
 	deltas, onlyOld, onlyNew := Diff(oldRep, newRep, threshold)
 	failed := false
 	for _, d := range deltas {
+		if d.ProcsMismatch {
+			note := "not compared"
+			if hard == nil || hard.MatchString(d.Key.Name) {
+				note, failed = "not compared; gated, fails", true
+			}
+			fmt.Fprintf(w, "procs-mismatch %s: reference procs=%d, run procs=%d (%s)\n",
+				d.Key.Name, d.OldProcs, d.Key.Procs, note)
+			continue
+		}
 		mark := "ok  "
 		if d.Regressed {
 			if hard == nil || hard.MatchString(d.Key.Name) {
@@ -346,7 +380,7 @@ func runDiff(args []string, w io.Writer) int {
 		fmt.Fprintf(w, "new  %s (only in %s)\n", n, files[1])
 	}
 	if failed {
-		fmt.Fprintf(w, "regression: at least one benchmark slowed >%g%%\n", threshold)
+		fmt.Fprintf(w, "regression: at least one gated benchmark slowed >%g%% or ran at another procs than its reference\n", threshold)
 		return 1
 	}
 	return 0

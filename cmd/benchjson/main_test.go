@@ -195,7 +195,7 @@ func TestRunDiffExitCodes(t *testing.T) {
 // TestRunDiffHardGate pins the -hard semantics: only regressions whose
 // name matches the regexp fail the diff; the rest are reported as "warn"
 // and keep exit code 0. This is the CI shape — BenchmarkMatrix/j=1 is the
-// hard gate, the forced-shard parallel variants stay warn-only.
+// hard gate, the other benchmarks stay warn-only.
 func TestRunDiffHardGate(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := writeReport(t, dir, "old.json", report(map[string]float64{
@@ -328,5 +328,58 @@ func TestRunDiffZeroBaselineExitCode(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAIL") {
 		t.Errorf("zero-baseline regression not marked FAIL:\n%s", out.String())
+	}
+}
+
+// TestDiffProcsMismatch pins like-with-like comparison: a benchmark that
+// ran at another GOMAXPROCS than its reference entry is paired but not
+// compared, prints as procs-mismatch, and fails the diff only when it is
+// hard-gated — however its ns/op moved.
+func TestDiffProcsMismatch(t *testing.T) {
+	withProcs := func(procs int, ns map[string]float64) *Report {
+		rep := report(ns)
+		for i := range rep.Benchmarks {
+			rep.Benchmarks[i].Procs = procs
+		}
+		return rep
+	}
+	oldRep := withProcs(1, map[string]float64{"BenchmarkMatrix/j=1": 100, "BenchmarkReplay": 50})
+	newRep := withProcs(2, map[string]float64{"BenchmarkMatrix/j=1": 90, "BenchmarkReplay": 500})
+	deltas, onlyOld, onlyNew := Diff(oldRep, newRep, 10)
+	if len(deltas) != 2 || len(onlyOld) != 0 || len(onlyNew) != 0 {
+		t.Fatalf("deltas=%+v onlyOld=%v onlyNew=%v", deltas, onlyOld, onlyNew)
+	}
+	for _, d := range deltas {
+		if !d.ProcsMismatch || d.OldProcs != 1 || d.Key.Procs != 2 || d.Regressed || d.Pct != 0 {
+			t.Errorf("mismatched delta compared: %+v", d)
+		}
+	}
+
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", oldRep)
+	newPath := writeReport(t, dir, "new.json", newRep)
+	var out strings.Builder
+	// The gated row ran at procs=2 against a procs=1 reference: fail,
+	// even though its ns/op improved.
+	if code := runDiff([]string{oldPath, newPath, "-threshold", "25", "-hard", `^BenchmarkMatrix/j=1$`}, &out); code != 1 {
+		t.Errorf("gated procs mismatch exit code %d, want 1\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "procs-mismatch BenchmarkMatrix/j=1") ||
+		!strings.Contains(out.String(), "procs-mismatch BenchmarkReplay") {
+		t.Errorf("mismatched rows not printed as procs-mismatch:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "warn") || strings.Contains(out.String(), "FAIL") {
+		t.Errorf("mismatched rows were compared:\n%s", out.String())
+	}
+	// Only an ungated row mismatched: informational, exit 0.
+	out.Reset()
+	ungated := writeReport(t, dir, "ungated.json", &Report{Benchmarks: append(
+		withProcs(1, map[string]float64{"BenchmarkMatrix/j=1": 100}).Benchmarks,
+		withProcs(2, map[string]float64{"BenchmarkReplay": 500}).Benchmarks...)})
+	if code := runDiff([]string{oldPath, ungated, "-threshold", "25", "-hard", `^BenchmarkMatrix/j=1$`}, &out); code != 0 {
+		t.Errorf("ungated procs mismatch exit code %d, want 0\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "procs-mismatch BenchmarkReplay") || !strings.Contains(out.String(), "ok   BenchmarkMatrix/j=1") {
+		t.Errorf("unexpected diff output:\n%s", out.String())
 	}
 }

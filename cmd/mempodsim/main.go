@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro"
@@ -104,7 +103,6 @@ func main() {
 		parallel = flag.Int("j", 0, "-compare: max concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir = flag.String("result-cache", "", "persist cell results in this directory (reused across runs)")
 		noCache  = flag.Bool("no-result-cache", false, "disable result memoization entirely")
-		podsPar  = flag.String("pods-parallel", "auto", "intra-run pod-parallel mode: auto, off, or a worker count >= 2 (bit-identical results)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -153,12 +151,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	podShards, err := parsePodsParallel(*podsPar)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mempodsim:", err)
-		os.Exit(1)
-	}
-
 	var rcache *mempod.ResultCache
 	if !*noCache {
 		if rcache, err = mempod.NewResultCache(*cacheDir); err != nil {
@@ -171,7 +163,7 @@ func main() {
 	}
 
 	if *compare {
-		if err := runCompare(tr, *requests, *seed, *future, fastSpec, slowSpec, *parallel, podShards, rcache); err != nil {
+		if err := runCompare(tr, *requests, *seed, *future, fastSpec, slowSpec, *parallel, rcache); err != nil {
 			fmt.Fprintln(os.Stderr, "mempodsim:", err)
 			os.Exit(1)
 		}
@@ -191,9 +183,8 @@ func main() {
 			CounterBits: *bits,
 			CacheBytes:  *cache,
 		},
-		HMA:       mempod.HMAOptions{CacheBytes: *cache},
-		PodShards: podShards,
-		Results:   rcache,
+		HMA:     mempod.HMAOptions{CacheBytes: *cache},
+		Results: rcache,
 	}
 	var res mempod.Result
 	if tr != nil {
@@ -292,39 +283,17 @@ func resolveTrace(traceIn, traceOut string, compare bool, wl, customPath string,
 	return tr, nil
 }
 
-// parsePodsParallel maps the -pods-parallel flag onto Options.PodShards:
-// "auto" resolves to 0 (let each layer pick), "off" to -1 (force serial),
-// and an integer >= 2 forces that worker count.
-func parsePodsParallel(v string) (int, error) {
-	switch v {
-	case "auto", "":
-		return 0, nil
-	case "off":
-		return -1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 2 {
-		return 0, fmt.Errorf("-pods-parallel must be auto, off, or a worker count >= 2 (got %q)", v)
-	}
-	return n, nil
-}
-
 // runCompare tabulates every mechanism on one recorded trace, replaying
 // the shared packed snapshot concurrently (each run still builds its own
-// simulator state; only the immutable snapshot is shared). In auto mode,
-// CPUs left over by the mechanism pool go to each run's pod-parallel
-// engine, so -j 1 on a big machine still uses the whole machine.
-func runCompare(tr *mempod.Trace, requests int, seed int64, future bool, fastSpec, slowSpec string, parallelism, podShards int, rcache *mempod.ResultCache) error {
+// simulator state; only the immutable snapshot is shared).
+func runCompare(tr *mempod.Trace, requests int, seed int64, future bool, fastSpec, slowSpec string, parallelism int, rcache *mempod.ResultCache) error {
 	order := compareOrder()
-	if podShards == 0 {
-		podShards = runner.PerTaskParallelism(parallelism, len(order))
-	}
 	tasks := make([]runner.Task[mempod.Result], len(order))
 	for i, m := range order {
 		m := m
 		o := mempod.Options{Mechanism: m, Requests: requests, Seed: seed,
 			FutureMemories: future, FastSpec: fastSpec, SlowSpec: slowSpec,
-			PodShards: podShards, Results: rcache}
+			Results: rcache}
 		if m == mempod.MechHMA {
 			// Scale HMA to the trace length (see EXPERIMENTS.md).
 			o.HMA = mempod.HMAOptions{

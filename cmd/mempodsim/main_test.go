@@ -103,25 +103,3 @@ func TestParseSpecPair(t *testing.T) {
 		}
 	}
 }
-
-// TestParsePodsParallel covers the -pods-parallel flag mapping.
-func TestParsePodsParallel(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"auto", 0, true}, {"", 0, true}, {"off", -1, true},
-		{"2", 2, true}, {"8", 8, true},
-		{"1", 0, false}, {"0", 0, false}, {"-3", 0, false}, {"many", 0, false},
-	}
-	for _, c := range cases {
-		got, err := parsePodsParallel(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("parsePodsParallel(%q) = (%d, %v), want (%d, nil)", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("parsePodsParallel(%q) accepted", c.in)
-		}
-	}
-}

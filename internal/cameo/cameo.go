@@ -159,7 +159,7 @@ func (c *CAMEO) Access(r *trace.Request, at clock.Time) clock.Time {
 	return c.access(r, addr.LineOf(addr.Addr(r.Addr)), at)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. CAMEO manages lines, not
+// AccessDecoded implements mech.Mechanism. CAMEO manages lines, not
 // frames: the global line index reassembles exactly from the plane's page
 // and line-in-page (addresses are line-aligned by construction).
 func (c *CAMEO) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
@@ -228,7 +228,7 @@ func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line,
 	c.stats.BytesMoved += 2 * addr.LineBytes
 }
 
-// AccessColumn implements mech.ColumnAccessor. CAMEO has no queues or
+// AccessColumn implements mech.Mechanism. CAMEO has no queues or
 // intervals; its only immediate channel traffic is the event-triggered
 // swap, which flushes the plan right after routing the triggering demand
 // access — preserving the per-request order (demand, then copy traffic,
@@ -304,8 +304,6 @@ func (c *CAMEO) SlotOfLine(ln addr.Line) int {
 }
 
 var (
-	_ mech.Mechanism       = (*CAMEO)(nil)
-	_ mech.DecodedAccessor = (*CAMEO)(nil)
-	_ mech.Releaser        = (*CAMEO)(nil)
-	_ mech.ColumnAccessor  = (*CAMEO)(nil)
+	_ mech.Mechanism = (*CAMEO)(nil)
+	_ mech.Releaser  = (*CAMEO)(nil)
 )

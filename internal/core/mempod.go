@@ -132,9 +132,9 @@ type pod struct {
 
 	// stats holds this pod's share of the migration counters. Keeping
 	// them per pod (summed in Stats) is what lets the engine's
-	// pod-parallel path run AccessSharded for different pods concurrently
-	// without a shared counter write; the sums are order-independent, so
-	// the merged totals are bit-identical to serial accumulation.
+	// pod-parallel path serve different pods concurrently without a
+	// shared counter write; the sums are order-independent, so the
+	// merged totals are bit-identical to serial accumulation.
 	stats mech.MigStats
 }
 
@@ -248,7 +248,7 @@ func (m *MemPod) Access(r *trace.Request, at clock.Time) clock.Time {
 	return m.access(r, uint64(page), podID, uint32(home), li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor: the home decomposition
+// AccessDecoded implements mech.Mechanism: the home decomposition
 // comes from the trace's predecode plane instead of being re-derived, and
 // un-migrated pages (the identity remap, i.e. most of the trace) are
 // serviced at the plane's precomputed home channel/row.
@@ -282,19 +282,8 @@ func (m *MemPod) AdvanceBoundary(t clock.Time) {
 // SharedTouch implements mech.TouchSharer.
 func (m *MemPod) SharedTouch() *mech.TouchFilter { return &m.touch }
 
-// AccessSharded implements mech.PodSharded: the access path with the two
-// cross-pod pieces — interval advancement and the touch filter — already
-// handled by the caller. Everything it reads or writes below belongs to
-// d's pod (tables, locks, cache, queue, per-pod stats) or is immutable
-// (geometry, config), and the backend routes the pod's demand,
-// bookkeeping and swap traffic onto the pod's own channels, so concurrent
-// calls for different pods share nothing mutable.
-func (m *MemPod) AccessSharded(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time {
-	return m.accessPod(&m.pods[d.Pod], r, int(d.Pod), d.Frame, int(d.Line), at, d, touched)
-}
-
 // accessPod is the pod-local tail of the access path, shared by the
-// serial and pod-parallel entry points.
+// serial entry points and the pod-parallel cache fallback.
 func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li int, at clock.Time, d *trace.Decoded, touched bool) clock.Time {
 	// Execute any queued swaps whose paced start time has arrived, so
 	// channel traffic stays in time order. The guard is inlined here:
@@ -342,7 +331,7 @@ func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li
 	return clock.Max(m.backend.Line(podID, f, li, r.Write, start), lockEnd)
 }
 
-// AccessColumn implements mech.ColumnAccessor: the serial access path
+// AccessColumn implements mech.Mechanism: the serial access path
 // with demand accesses gathered into per-channel columns. Flush points
 // mirror every place the per-request path injects immediate channel
 // traffic — interval boundaries (full flush: every pod drains) and due
@@ -401,27 +390,35 @@ func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 	plan.Flush()
 }
 
-// AccessShardedColumn implements mech.PodShardedColumns: AccessSharded
-// over a worker's share of a wavefront segment, routed through the
-// worker-private plan. Boundaries are already advanced and the touch
-// filter already consulted (sc.Touched), so the only flush points left
-// are the worker's own pods' swap drains, each pod-scoped like the
-// serial path's (a drain touches only the draining pod's channels).
+// AccessShardedColumn implements mech.PodSharded: the access path with
+// the two cross-pod pieces — interval advancement and the touch filter —
+// already handled by the caller, over a worker's share of a wavefront
+// segment routed through the worker-private plan. Everything it reads or
+// writes belongs to the owned requests' pods (tables, locks, cache,
+// queue, per-pod stats) or is immutable (geometry, config), and the
+// backend routes the pods' demand, bookkeeping and swap traffic onto the
+// pods' own channels, so concurrent calls for disjoint pod sets share
+// nothing mutable. The only flush points left are the worker's own pods'
+// swap drains, each pod-scoped like the serial path's (a drain touches
+// only the draining pod's channels).
 func (m *MemPod) AccessShardedColumn(sc *mech.ShardedColumn) {
+	span := sc.Span
+	dec := span.Dec
 	if m.cfg.CacheBytes > 0 {
 		for i := sc.Lo; i < sc.Hi; i++ {
-			d := &sc.Dec[i]
+			d := &dec[i]
 			if int(d.Pod)%sc.Workers != sc.Worker {
 				continue
 			}
-			sc.Done[i] = m.AccessSharded(&sc.Reqs[i], d, sc.At[i], sc.Touched[i])
+			r := span.Request(i)
+			sc.Done[i] = m.accessPod(&m.pods[d.Pod], &r, int(d.Pod), d.Frame, int(d.Line), sc.At[i], d, sc.Touched[i])
 		}
 		return
 	}
 	plan := sc.Plan
 	plan.Begin(sc.Done)
 	for i := sc.Lo; i < sc.Hi; i++ {
-		d := &sc.Dec[i]
+		d := &dec[i]
 		if int(d.Pod)%sc.Workers != sc.Worker {
 			continue
 		}
@@ -445,10 +442,10 @@ func (m *MemPod) AccessShardedColumn(sc *mech.ShardedColumn) {
 		}
 		sc.Done[i] = lockEnd
 		if f := p.remap.A[d.Frame]; f == d.Frame {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Reqs[i].Write, t, int32(i))
+			plan.Route(int(d.Chan), uint64(d.Row), span.Write(i), t, int32(i))
 		} else {
 			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
-			plan.Route(ch, row, sc.Reqs[i].Write, t, int32(i))
+			plan.Route(ch, row, span.Write(i), t, int32(i))
 		}
 	}
 	plan.Flush()
@@ -687,9 +684,7 @@ func (m *MemPod) CheckInvariants() error {
 }
 
 var (
-	_ mech.Mechanism         = (*MemPod)(nil)
-	_ mech.DecodedAccessor   = (*MemPod)(nil)
-	_ mech.Releaser          = (*MemPod)(nil)
-	_ mech.ColumnAccessor    = (*MemPod)(nil)
-	_ mech.PodShardedColumns = (*MemPod)(nil)
+	_ mech.Mechanism  = (*MemPod)(nil)
+	_ mech.Releaser   = (*MemPod)(nil)
+	_ mech.PodSharded = (*MemPod)(nil)
 )

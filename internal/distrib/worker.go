@@ -27,8 +27,6 @@ type Worker struct {
 	Batch int
 	// Parallelism bounds concurrent cells per batch (0 = GOMAXPROCS).
 	Parallelism int
-	// PodShards forces intra-cell pod parallelism (0 = auto-budget).
-	PodShards int
 	// Results, when non-nil, answers repeat cells without recomputing
 	// (give workers a store directory to survive their own restarts).
 	Results *resultcache.Cache
@@ -178,7 +176,6 @@ func (w *Worker) computeBatch(ctx context.Context, plan *exp.Plan, grant LeaseRe
 		Results:     w.Results,
 		Traces:      traces,
 		Parallelism: w.Parallelism,
-		PodShards:   w.PodShards,
 	})
 	stopRenew()
 	renews.Wait()

@@ -66,13 +66,6 @@ type Config struct {
 	// builds a fresh memsys/backend/engine per cell) and are assembled in
 	// a fixed order by internal/runner.
 	Parallelism int
-	// PodShards controls each cell's intra-cell pod-parallel mode
-	// (sim.Engine.Shards): 0 is auto — the machine's parallelism left
-	// over by the cell pool, runner.PerTaskParallelism, so Parallelism ×
-	// pods never oversubscribes — 1 or negative forces serial cells, and
-	// >= 2 forces that worker count per cell. Results are bit-identical
-	// for every value (TestPodParallelBitIdentical).
-	PodShards int
 	// Progress, when non-nil, is invoked after each simulation cell of a
 	// matrix completes, with the count done so far and the matrix total.
 	// Invocations are serialized across workers.
@@ -301,8 +294,8 @@ func (c Config) resultCache() *resultcache.Cache {
 // config, both memory-spec fingerprints, layout geometry, and the exact
 // generated trace (workload recipe name + length + seed). Anything that
 // could change the cell's numbers is in here; execution shape
-// (Parallelism, PodShards) deliberately is not — the differential suites
-// prove those bit-identical.
+// (Parallelism) deliberately is not — cells are isolated, so it cannot
+// change a result.
 func (c Config) cellKey(w workload.Workload, b builder) resultcache.CellKey {
 	return resultcache.CellKey{
 		SimVersion: sim.Version,
@@ -343,9 +336,9 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 // matrix's probe pass); the display name is applied after the cache
 // consult, because one cached cell can serve under different labels
 // (Fig6's "MemPod#7" and Fig7's "MemPod#3" may be the same design point).
-func (c Config) run(w workload.Workload, b builder, traces *tracecache.Cache, uses, shards int, results *resultcache.Cache) (stats.Result, error) {
+func (c Config) run(w workload.Workload, b builder, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
 	simulate := func() (stats.Result, error) {
-		return c.simulate(w, b, traces, uses, shards)
+		return c.simulate(w, b, traces, uses)
 	}
 	var res stats.Result
 	var err error
@@ -368,7 +361,7 @@ func (c Config) run(w workload.Workload, b builder, traces *tracecache.Cache, us
 // after capture (each cell replays it through its own cursor). That
 // isolation is what makes matrix safe to fan out across goroutines
 // (asserted by TestMatrixParallelDeterminism and the race detector in CI).
-func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cache, uses, shards int) (stats.Result, error) {
+func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cache, uses int) (stats.Result, error) {
 	snap, release, err := c.acquireTrace(traces, w, uses)
 	if err != nil {
 		return stats.Result{}, err
@@ -385,7 +378,6 @@ func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cach
 	// allocations instead of paying fresh multi-MB zeroing per cell.
 	defer mech.Release(m)
 	engine := sim.New(backend, m)
-	engine.Shards = shards
 	// Replay through the snapshot's predecode plane for this cell's layout:
 	// the plane is computed once per (snapshot, layout) and shared by every
 	// cell replaying it, so the matrix decodes each trace once, not once per
@@ -437,14 +429,6 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 			uses[c.traceKey(w)]++
 		}
 	}
-	// Split the machine between the cell pool and each cell's pod workers:
-	// whatever parallelism the pool cannot use (few cells, small -j) goes
-	// to the cells' pod-parallel engines, so `Parallelism × pods` never
-	// oversubscribes GOMAXPROCS.
-	shards := c.PodShards
-	if shards == 0 {
-		shards = runner.PerTaskParallelism(c.Parallelism, len(builders)*len(c.Workloads))
-	}
 	tasks := make([]runner.Task[stats.Result], 0, len(builders)*len(c.Workloads))
 	for _, w := range c.Workloads {
 		for _, b := range builders {
@@ -456,7 +440,7 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 				// workload=mix3) isolates one cell's share.
 				Labels: []string{"mechanism", b.name, "workload", w.Name},
 				Run: func() (stats.Result, error) {
-					return c.run(w, b, traces, uses[c.traceKey(w)], shards, results)
+					return c.run(w, b, traces, uses[c.traceKey(w)], results)
 				},
 			})
 		}

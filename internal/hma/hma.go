@@ -214,7 +214,7 @@ func (h *HMA) Access(r *trace.Request, at clock.Time) clock.Time {
 	return h.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. The page and line come
+// AccessDecoded implements mech.Mechanism. The page and line come
 // from the plane; for un-remapped pages (the identity mapping, most of
 // the trace) the plane's precomputed home channel/row services the access
 // directly, and only migrated pages re-derive HomeFrame(slot) at runtime.
@@ -260,7 +260,7 @@ func (h *HMA) access(r *trace.Request, page uint32, li int, at clock.Time, d *tr
 	return clock.Max(h.backend.Line(pod, f, li, r.Write, start), lockEnd)
 }
 
-// AccessColumn implements mech.ColumnAccessor: the access path with
+// AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns, flushed fully at
 // interval boundaries and channel-scoped at queue drains (a drained
 // chunk touches exactly two channels; see executeSwap) — the only
@@ -553,8 +553,6 @@ func (h *HMA) CheckInvariants() error {
 func (h *HMA) FrameOfPage(p addr.Page) addr.Page { return addr.Page(h.remap.A[uint32(p)]) }
 
 var (
-	_ mech.Mechanism       = (*HMA)(nil)
-	_ mech.DecodedAccessor = (*HMA)(nil)
-	_ mech.Releaser        = (*HMA)(nil)
-	_ mech.ColumnAccessor  = (*HMA)(nil)
+	_ mech.Mechanism = (*HMA)(nil)
+	_ mech.Releaser  = (*HMA)(nil)
 )

@@ -146,47 +146,20 @@ func (p *ColumnPlan) FlushChannel(ch int) {
 	}
 }
 
-// ColumnAccessor is optionally implemented by mechanisms that can
-// service a dense span of decoded requests through per-channel columns
-// instead of one AccessDecoded call per request. The engine's batched
-// path dispatches through it when the stream serves zero-copy spans
-// (trace.ColumnStream) — the span's fields are the snapshot's own
-// decoded columns, so no Request structs are materialized at all.
-type ColumnAccessor interface {
-	DecodedAccessor
-	// AccessColumn services span request i (decoded as sc.Dec[i]) issued
-	// at at[i], writing each completion into done[i]. It must be
-	// bit-identical to the equivalent sequence of AccessDecoded calls:
-	// same completions, same mechanism and channel state afterwards. at
-	// and done are parallel to the span and caller-owned; every done[i]
-	// is (re)written.
-	AccessColumn(sc *trace.SpanColumns, at, done []clock.Time)
-}
-
 // ShardedColumn carries one pod-parallel worker's share of a wavefront
-// segment through a column accessor: the segment bounds, the worker's
-// pod-stride identity, the precomputed issue times and touch-filter
-// answers, and the worker-private plan to route through.
+// segment: the block's span (times, decoded entries, cores, write bits),
+// the precomputed issue times and touch-filter answers parallel to it,
+// the segment bounds, the worker's pod-stride identity, and the
+// worker-private plan to route through. The owned requests are the
+// indices i in [Lo, Hi) with Span.Dec[i].Pod % Workers == Worker; each
+// one's completion goes into Done[i].
 type ShardedColumn struct {
 	Plan    *ColumnPlan
-	Reqs    []trace.Request
-	Dec     []trace.Decoded
+	Span    *trace.SpanColumns
 	At      []clock.Time
 	Touched []bool
 	Done    []clock.Time
 	Lo, Hi  int
 	Worker  int
 	Workers int
-}
-
-// PodShardedColumns is optionally implemented by pod-sharded mechanisms
-// that can service a worker's segment share through per-channel columns.
-// AccessShardedColumn must be bit-identical to calling AccessSharded for
-// each owned request (indices i in [Lo, Hi) with pod(i) % Workers ==
-// Worker) in order, writing each completion into Done[i]. Like
-// AccessSharded it may only touch state of the worker's pods — the
-// worker-private plan keeps the routed channel traffic inside them.
-type PodShardedColumns interface {
-	PodSharded
-	AccessShardedColumn(sc *ShardedColumn)
 }

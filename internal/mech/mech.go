@@ -14,40 +14,32 @@ import (
 )
 
 // Mechanism is a memory-management scheme under evaluation. The engine
-// calls Access once per trace request, in non-decreasing time order, and
-// the mechanism routes the request (after any translation, bookkeeping
-// traffic, interval processing or migration stalling it models) and
-// returns the completion time.
+// services requests in non-decreasing time order; the mechanism routes
+// each one (after any translation, bookkeeping traffic, interval
+// processing or migration stalling it models) and returns the completion
+// time. The three access methods are one service in three shapes, and
+// must be bit-identical to one another: the same completions and the same
+// mechanism and channel state afterwards, whichever sequence of them
+// serviced a trace.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// Access services one demand request arriving at time `at` and
 	// returns its completion time (> at).
 	Access(r *trace.Request, at clock.Time) clock.Time
+	// AccessDecoded is Access with the request's address decomposition
+	// already computed (d describes r.Addr under the backend's layout,
+	// as a trace predecode plane entry).
+	AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
+	// AccessColumn services span request i (decoded as sc.Dec[i]) issued
+	// at at[i], writing each completion into done[i] — the engine's only
+	// production entry point. Mechanisms gather the span's demand
+	// accesses into per-channel columns (ColumnPlan). at and done are
+	// parallel to the span and caller-owned; every done[i] is
+	// (re)written.
+	AccessColumn(sc *trace.SpanColumns, at, done []clock.Time)
 	// Stats returns the mechanism's migration counters.
 	Stats() MigStats
-}
-
-// DecodedAccessor is optionally implemented by mechanisms that can skip
-// the flat-address decomposition when the trace comes with a predecode
-// plane (trace.Decoded: page, owning pod, home frame, line-in-page). The
-// engine's batched path dispatches through it when the stream has a plane
-// bound; AccessDecoded must be bit-identical to Access for the same
-// request.
-type DecodedAccessor interface {
-	Mechanism
-	// AccessDecoded is Access with the request's address decomposition
-	// already computed (d describes r.Addr under the backend's layout).
-	AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
-}
-
-// AccessDecoded services r through m's decoded entry point when it has
-// one, falling back to plain Access.
-func AccessDecoded(m Mechanism, r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	if dm, ok := m.(DecodedAccessor); ok {
-		return dm.AccessDecoded(r, d, at)
-	}
-	return m.Access(r, at)
 }
 
 // TouchSharer is implemented by mechanisms whose activity tracking runs
@@ -65,34 +57,39 @@ type TouchSharer interface {
 // PodSharded is implemented by mechanisms whose per-access mutable state
 // is partitioned by home pod, with cross-pod work confined to interval
 // boundaries — MemPod's defining property (§5: pods migrate independently;
-// only the epoch rollover walks all pods). The engine's pod-parallel path
-// drives such mechanisms with one worker per pod shard between
-// boundaries, joining at a deterministic barrier to run AdvanceBoundary,
-// and is bit-identical to the serial path by construction: AccessSharded
-// calls for different pods must not share any mutable state.
+// only the epoch rollover walks all pods). The engine's opt-in
+// pod-parallel path (sim.Engine.Shards >= 2) drives such mechanisms with
+// one worker per pod shard between boundaries, joining at a deterministic
+// barrier to run AdvanceBoundary, and is bit-identical to the serial path
+// by construction: AccessShardedColumn calls for different pods must not
+// share any mutable state.
 //
 // Mechanisms that swap across arbitrary channel pairs mid-interval (HMA,
 // THM, CAMEO — everything routed through the global switch) cannot
-// implement this; the engine falls back to the serial batched path for
-// them, mirroring the paper's scalability argument for clustering.
+// implement this; the engine runs them serially whatever Shards says,
+// mirroring the paper's scalability argument for clustering.
 type PodSharded interface {
-	DecodedAccessor
+	Mechanism
 	TouchSharer
 	// Pods returns the number of independent shards (home pods).
 	Pods() int
-	// NextBoundary returns the next interval boundary: every AccessSharded
-	// call must carry an issue time strictly below it.
+	// NextBoundary returns the next interval boundary: every request of
+	// an AccessShardedColumn call must carry an issue time strictly
+	// below it.
 	NextBoundary() clock.Time
 	// AdvanceBoundary runs every interval boundary at or before t, in
 	// fixed pod order, advancing NextBoundary past t. The caller must
-	// guarantee no AccessSharded call is in flight.
+	// guarantee no AccessShardedColumn call is in flight.
 	AdvanceBoundary(t clock.Time)
-	// AccessSharded is AccessDecoded with the cross-pod work hoisted out:
+	// AccessShardedColumn services one worker's share of a wavefront
+	// segment (see ShardedColumn) with the cross-pod work hoisted out:
 	// the caller has already advanced boundaries (so no interval check)
-	// and consulted the shared touch filter (touched carries its answer).
-	// It may only read and write state of d's pod, and must equal
-	// AccessDecoded's result for the same request and mechanism state.
-	AccessSharded(r *trace.Request, d *trace.Decoded, at clock.Time, touched bool) clock.Time
+	// and consulted the shared touch filter (sc.Touched carries its
+	// answers). It must be bit-identical to the AccessDecoded calls for
+	// the owned requests in order, and may only read and write state of
+	// the worker's pods — the worker-private plan keeps the routed
+	// channel traffic inside them.
+	AccessShardedColumn(sc *ShardedColumn)
 }
 
 // Releaser is optionally implemented by mechanisms whose bookkeeping

@@ -28,14 +28,14 @@ func (s *Static) Access(r *trace.Request, at clock.Time) clock.Time {
 	return s.backend.HomeLine(addr.LineOf(addr.Addr(r.Addr)), r.Write, at)
 }
 
-// AccessDecoded implements DecodedAccessor: with no migration, the home
+// AccessDecoded implements Mechanism: with no migration, the home
 // location in the plane is the final location — the access needs no
 // address math at all.
 func (s *Static) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
 	return s.backend.LineAt(d.Chan, d.Row, r.Write, at)
 }
 
-// AccessColumn implements ColumnAccessor: with no translation state and
+// AccessColumn implements Mechanism: with no translation state and
 // no migration traffic there are no flush points — every request routes
 // straight to its precomputed home channel's column.
 func (s *Static) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
@@ -52,8 +52,4 @@ func (s *Static) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 // Stats implements Mechanism. Static never migrates.
 func (s *Static) Stats() MigStats { return MigStats{} }
 
-var (
-	_ Mechanism       = (*Static)(nil)
-	_ DecodedAccessor = (*Static)(nil)
-	_ ColumnAccessor  = (*Static)(nil)
-)
+var _ Mechanism = (*Static)(nil)

@@ -194,7 +194,7 @@ func (m *Migrant) Access(r *trace.Request, at clock.Time) clock.Time {
 	return m.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor: identity-remapped pages
+// AccessDecoded implements mech.Mechanism: identity-remapped pages
 // (most of the trace) service at the plane's precomputed home location.
 func (m *Migrant) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
 	return m.access(r, uint32(d.Page), int(d.Line), at, d)
@@ -226,7 +226,7 @@ func (m *Migrant) access(r *trace.Request, page uint32, li int, at clock.Time, d
 	return clock.Max(m.backend.Line(pod, f, li, r.Write, at), lockEnd)
 }
 
-// AccessColumn implements mech.ColumnAccessor: the access path with
+// AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns, flushed fully at
 // epoch boundaries and channel-scoped at queue drains (a drained chunk
 // touches exactly two channels; see executeSwap) — the only places the
@@ -441,9 +441,7 @@ func (m *Migrant) CheckInvariants() error {
 func (m *Migrant) FrameOfPage(p addr.Page) addr.Page { return addr.Page(m.remap.A[uint32(p)]) }
 
 var (
-	_ mech.Mechanism       = (*Migrant)(nil)
-	_ mech.DecodedAccessor = (*Migrant)(nil)
-	_ mech.TouchSharer     = (*Migrant)(nil)
-	_ mech.Releaser        = (*Migrant)(nil)
-	_ mech.ColumnAccessor  = (*Migrant)(nil)
+	_ mech.Mechanism   = (*Migrant)(nil)
+	_ mech.TouchSharer = (*Migrant)(nil)
+	_ mech.Releaser    = (*Migrant)(nil)
 )

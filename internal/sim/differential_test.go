@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,13 +51,16 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 	}
 }
 
-// TestBatchedEngineBitIdentical drives every mechanism over a mixed
-// workload three ways — the per-request serial path (plain SliceStream),
-// the batched path without a predecode plane (snapshot cursor), and the
-// fully fused batched path with the plane bound (DecodedStream +
-// AccessDecoded) — and requires field-identical Results. This is the
-// tentpole's differential guarantee: batching, the shared plane, and the
-// mechanisms' decoded fast paths are pure restructurings.
+// TestBatchedEngineBitIdentical is the engine's differential guarantee:
+// every mechanism replays one mixed workload through the test-only
+// per-request oracle (through Access and through AccessDecoded) and
+// through the production column loop, at the default window, a narrow
+// one and an unlimited one, and all runs must agree field by field —
+// final touch-filter state included. Spans, the shared plane and the
+// mechanisms' column entry points are pure restructurings of the
+// per-request service. A replay of the same snapshot through the
+// disk-store open (zero-copy columns where the platform supports mmap,
+// the copying reader elsewhere) is held to the same bar.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -67,10 +71,6 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 
-	// The mapped leg replays the same snapshot through the disk-store open
-	// (zero-copy columns where the platform supports mmap, the copying
-	// reader elsewhere), so the store path is held to the same bit-identity
-	// bar as the in-memory restructurings.
 	var buf bytes.Buffer
 	if err := trace.WriteSnapshot(&buf, w.Name, snap); err != nil {
 		t.Fatal(err)
@@ -86,41 +86,14 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 	defer msnap.Release()
 
 	for _, mc := range mechanisms {
-		runWith := func(s trace.Stream, noColumns bool) (stats.Result, *Engine) {
-			b := newBackend()
-			m := mc.build(b)
-			e := New(b, m)
-			e.noColumns = noColumns
-			res, err := e.Run(w.Name, s)
-			if err != nil {
-				t.Fatalf("%s: %v", mc.name, err)
-			}
-			return res, e
+		for _, window := range []int{0, 32, -1} {
+			p := enginePaths{t: t, name: w.Name, reqs: reqs, snap: snap,
+				newSys: newBackend, build: mc.build, window: window}
+			label := fmt.Sprintf("%s/window=%d", mc.name, window)
+			ref := p.check(label)
+			mapped := p.production(msnap, "mapped", 0)
+			diffResults(t, label+" mapped replay vs oracle(Access)", mapped.res, ref.res)
 		}
-		serial, _ := runWith(trace.NewSliceStream(reqs), false)
-		batchedNoPlane, _ := runWith(snap.Stream(), false)
-		geomBackend := newBackend()
-		batchedPlane, planeEng := runWith(snap.DecodedStream(&geomBackend.Geom), false)
-		perReqBackend := newBackend()
-		batchedPerReq, perReqEng := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
-		mappedBackend := newBackend()
-		mappedRes, _ := runWith(msnap.DecodedStream(&mappedBackend.Geom), false)
-
-		if serial.Requests != n {
-			t.Fatalf("%s: serial replayed %d requests, want %d", mc.name, serial.Requests, n)
-		}
-		// The planed run must have gone through the channel-column kernel;
-		// the noColumns run pins the per-request reference it diffs against.
-		if planeEng.ColumnSpans() == 0 {
-			t.Errorf("%s: batched(plane) run never took the column path", mc.name)
-		}
-		if perReqEng.ColumnSpans() != 0 {
-			t.Errorf("%s: noColumns run took the column path (%d spans)", mc.name, perReqEng.ColumnSpans())
-		}
-		diffResults(t, mc.name+" batched(no plane) vs serial", batchedNoPlane, serial)
-		diffResults(t, mc.name+" batched(plane, columns) vs serial", batchedPlane, serial)
-		diffResults(t, mc.name+" batched(plane, per-request) vs serial", batchedPerReq, serial)
-		diffResults(t, mc.name+" mapped replay vs serial", mappedRes, serial)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 // (8 cores × 16 MSHRs).
 const DefaultWindow = 128
 
-// BatchSize is how many requests the batched path pulls from a
-// trace.BatchStream per NextBatch call: large enough to amortize the
-// cursor call and keep the batch's columns hot in L1, small enough that
-// two batch buffers (requests + decoded) stay around 10 KB.
+// BatchSize caps the requests of one span the engine pulls from the
+// stream (NextSpan) when the window is larger or unlimited: large enough
+// to amortize the cursor call and the mechanism's per-span setup, small
+// enough that the span's columns stay hot in L1.
 const BatchSize = 256
 
 // Engine runs traces against one mechanism.
@@ -33,28 +33,22 @@ type Engine struct {
 	// Window caps outstanding requests; 0 means DefaultWindow, negative
 	// means unlimited.
 	Window int
-	// Shards selects the pod-parallel path for mechanisms that support it
-	// (mech.PodSharded) on streams with a predecode plane: 0 is auto
-	// (GOMAXPROCS workers, capped at the mechanism's pod count, off when
-	// that leaves fewer than two), 1 or negative forces serial, and >= 2
-	// forces that worker count (still capped at the pod count). Results
-	// are bit-identical for every value; see parallel.go.
+	// Shards opts a pod-sharded mechanism (mech.PodSharded) into the
+	// pod-parallel path: >= 2 runs that many pod workers, capped at the
+	// mechanism's pod count; 0, 1 or negative runs serially, as do
+	// mechanisms that are not pod-sharded. Results are bit-identical for
+	// every value; see parallel.go.
 	Shards int
 
 	// ring is the outstanding-request window, kept across runs so repeated
 	// Run calls on one engine (benchmarks, sweeps) stay allocation-free.
 	ring []clock.Time
-	// Batch buffers for runBatched, allocated on first use and reused:
-	// stack arrays would escape through the BatchStream interface call,
-	// costing two heap allocations per Run.
-	batchBuf []trace.Request
-	decBuf   []trace.Decoded
-	// Column buffers for runBatchedColumns (issue times and completions;
+	// Column buffers for runColumns (issue times and completions;
 	// arrivals come straight from the stream's decoded time column),
 	// allocated on first use and reused. spanBuf is the span view handed
 	// to the mechanism — a single reused heap object, because a stack
-	// span would escape through the ColumnAccessor interface call and
-	// cost one allocation per span.
+	// span would escape through the AccessColumn interface call and cost
+	// one allocation per span.
 	atBuf   []clock.Time
 	doneBuf []clock.Time
 	spanBuf *trace.SpanColumns
@@ -64,11 +58,8 @@ type Engine struct {
 	// path, for tests and diagnostics.
 	parallelBlocks uint64
 	// columnSpans counts request spans serviced through the mechanism's
-	// column path (mech.ColumnAccessor), for tests and diagnostics.
+	// column entry points, for tests and diagnostics.
 	columnSpans uint64
-	// noColumns forces the per-request dispatch even for column-capable
-	// mechanisms; the differential tests use it to run the reference path.
-	noColumns bool
 }
 
 // New returns an engine for the mechanism built over the backend.
@@ -77,49 +68,55 @@ func New(b *mech.Backend, m mech.Mechanism) *Engine {
 }
 
 // Run replays the stream to completion and returns the run's metrics.
-// The stream must be time-ordered (workload streams are).
-//
-// Streams that implement trace.BatchStream (snapshot replay cursors) are
-// driven through a batched loop that fuses window gating, order checking
-// and stall accounting over BatchSize-request chunks; when the stream also
-// carries a predecode plane and the mechanism implements
-// mech.DecodedAccessor, requests dispatch through AccessDecoded. When the
-// mechanism is additionally pod-sharded (mech.PodSharded) and Shards
-// selects more than one worker, the run takes the pod-parallel path
-// (parallel.go). All paths are bit-identical to the per-request fallback.
-func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
+// The stream must serve decoded columns (Snapshot.DecodedStream) decoded
+// under the backend's geometry, and be time-ordered (recorded workload
+// traces are). Requests go to the mechanism span by span through
+// AccessColumn (runColumns); with Shards >= 2 and a pod-sharded
+// mechanism, the run takes the pod-parallel path (parallel.go) instead,
+// which reads the same spans and is bit-identical.
+func (e *Engine) Run(workload string, s trace.ColumnStream) (stats.Result, error) {
+	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
+	if !s.HasColumns() {
+		return res, fmt.Errorf("sim: stream has no decoded columns (replay a Snapshot.DecodedStream)")
+	}
 	window := e.Window
 	if window == 0 {
 		window = DefaultWindow
 	}
-	var ring []clock.Time
-	if window > 0 {
-		if cap(e.ring) >= window {
-			ring = e.ring[:window]
-			for i := range ring {
-				ring[i] = 0
-			}
-		} else {
-			ring = make([]clock.Time, window)
-			e.ring = ring
-		}
-	}
+	ring := e.resetRing(window)
 
-	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
 	var err error
-	if bs, ok := s.(trace.BatchStream); ok {
-		if ps, workers := e.shardPlan(bs); workers > 1 {
-			err = e.runPodParallel(bs, ps, workers, ring, window, &res)
-		} else {
-			err = e.runBatched(bs, ring, window, &res)
-		}
+	if ps, workers := e.shardPlan(); workers > 1 {
+		err = e.runPodParallel(s, ps, workers, ring, window, &res)
 	} else {
-		err = e.runSerial(s, ring, window, &res)
+		err = e.runColumns(s, ring, window, &res)
 	}
 	if err != nil {
 		return res, err
 	}
+	e.finish(&res)
+	return res, nil
+}
 
+// resetRing returns the zeroed outstanding-request ring for a window, or
+// nil when the window is unlimited.
+func (e *Engine) resetRing(window int) []clock.Time {
+	if window <= 0 {
+		return nil
+	}
+	if cap(e.ring) < window {
+		e.ring = make([]clock.Time, window)
+		return e.ring
+	}
+	ring := e.ring[:window]
+	for i := range ring {
+		ring[i] = 0
+	}
+	return ring
+}
+
+// finish fills the run's memory-system and migration metrics.
+func (e *Engine) finish(res *stats.Result) {
 	fs, ss := e.backend.Sys.FastStats(), e.backend.Sys.SlowStats()
 	res.FastAccesses = fs.Accesses()
 	res.SlowAccesses = ss.Accesses()
@@ -131,149 +128,14 @@ func (e *Engine) Run(workload string, s trace.Stream) (stats.Result, error) {
 		res.RowHitRate = float64(fs.RowHits+ss.RowHits) / float64(total)
 	}
 	res.Mig = e.m.Stats()
-	return res, nil
-}
-
-// runSerial is the per-request replay loop, used for plain streams.
-func (e *Engine) runSerial(s trace.Stream, ring []clock.Time, window int, res *stats.Result) error {
-	var r trace.Request
-	var lastArrival clock.Time
-	// The ring position is a wrapping counter rather than Requests%window:
-	// the modulo would be two 64-bit divisions per request.
-	ringPos := 0
-	for s.Next(&r) {
-		if r.Time < lastArrival {
-			return fmt.Errorf("sim: trace out of order at request %d (%v < %v)",
-				res.Requests, r.Time, lastArrival)
-		}
-		lastArrival = r.Time
-
-		at := r.Time
-		if ring != nil {
-			// The request cannot issue until the request `window` back
-			// has completed.
-			if gate := ring[ringPos]; gate > at {
-				at = gate
-			}
-		}
-		done := e.m.Access(&r, at)
-		if done <= at {
-			return fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-				e.m.Name(), done, at)
-		}
-		if ring != nil {
-			ring[ringPos] = done
-			if ringPos++; ringPos == window {
-				ringPos = 0
-			}
-		}
-
-		res.Requests++
-		res.TotalStall += done - r.Time
-		if done > res.Span {
-			res.Span = done
-		}
-	}
-	return nil
-}
-
-// runBatched replays a BatchStream in BatchSize chunks. The per-request
-// bookkeeping runs over the chunk's dense buffers with the accumulators in
-// locals, flushed to res once per chunk (and before any error return, so
-// partial results match the serial path exactly).
-func (e *Engine) runBatched(bs trace.BatchStream, ring []clock.Time, window int, res *stats.Result) error {
-	if e.batchBuf == nil {
-		e.batchBuf = make([]trace.Request, BatchSize)
-		e.decBuf = make([]trace.Decoded, BatchSize)
-	}
-	buf, decBuf := e.batchBuf, e.decBuf
-	dm, _ := e.m.(mech.DecodedAccessor)
-	usePlane := dm != nil && bs.HasPlane()
-	if ca, ok := e.m.(mech.ColumnAccessor); ok && usePlane && !e.noColumns {
-		if cs, ok := bs.(trace.ColumnStream); ok && cs.HasColumns() {
-			return e.runBatchedColumns(cs, ca, ring, window, res)
-		}
-	}
-	// Snapshot cursors lend their plane entries by subslice; other batch
-	// streams fill our buffer.
-	sbs, sharedPlane := bs.(trace.SharedBatchStream)
-
-	var lastArrival clock.Time
-	var requests uint64
-	var totalStall, span clock.Duration
-	ringPos := 0
-	for {
-		var n int
-		dec := decBuf[:]
-		switch {
-		case sharedPlane:
-			n, dec = sbs.NextBatchShared(buf[:])
-		case usePlane:
-			n = bs.NextBatch(buf[:], dec)
-		default:
-			n = bs.NextBatch(buf[:], nil)
-		}
-		if n == 0 {
-			break
-		}
-		batch := buf[:n]
-		if usePlane {
-			// Equal lengths let the compiler drop the dec[i] bounds check
-			// inside the loop.
-			dec = dec[:n]
-		}
-		for i := range batch {
-			r := &batch[i]
-			if r.Time < lastArrival {
-				res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-				return fmt.Errorf("sim: trace out of order at request %d (%v < %v)",
-					res.Requests, r.Time, lastArrival)
-			}
-			lastArrival = r.Time
-
-			at := r.Time
-			if ring != nil {
-				if gate := ring[ringPos]; gate > at {
-					at = gate
-				}
-			}
-			var done clock.Time
-			if usePlane {
-				done = dm.AccessDecoded(r, &dec[i], at)
-			} else {
-				done = e.m.Access(r, at)
-			}
-			if done <= at {
-				res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-				return fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-					e.m.Name(), done, at)
-			}
-			if ring != nil {
-				ring[ringPos] = done
-				if ringPos++; ringPos == window {
-					ringPos = 0
-				}
-			}
-
-			requests++
-			totalStall += done - r.Time
-			if done > span {
-				span = done
-			}
-		}
-		res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-	}
-	res.Requests, res.TotalStall, res.Span = requests, totalStall, span
-	return nil
 }
 
 // ColumnSpans reports how many request spans the engine has serviced
-// through the column path, across all runs. Zero after a run on a planed
-// stream means the run used per-request dispatch.
+// through the mechanism's column entry points, across all runs.
 func (e *Engine) ColumnSpans() uint64 { return e.columnSpans }
 
-// runBatchedColumns replays a ColumnStream through the mechanism's
-// column path (mech.ColumnAccessor) in wavefront spans of at most one
+// runColumns is the engine's serial loop: it replays a ColumnStream
+// through the mechanism's AccessColumn in wavefront spans of at most one
 // window. The argument is the same as parallel.go's one-window blocks:
 // every window gate of a span is a completion from at least `window`
 // requests back — an earlier span — so a serial prepass fixes all of the
@@ -285,9 +147,10 @@ func (e *Engine) ColumnSpans() uint64 { return e.columnSpans }
 // (truncating the span at a violation but still simulating the requests
 // before it), the contract check and ring writes run in a postpass over
 // the dense completion column, and stall accounting goes through
-// stats.Accum.NoteColumn. Error messages and partial results reproduce
-// the per-request path exactly.
-func (e *Engine) runBatchedColumns(cs trace.ColumnStream, ca mech.ColumnAccessor, ring []clock.Time, window int, res *stats.Result) error {
+// stats.Accum.NoteColumn. Error messages and partial results are those of
+// a per-request loop that stops at the offending request (the tests'
+// oracle).
+func (e *Engine) runColumns(cs trace.ColumnStream, ring []clock.Time, window int, res *stats.Result) error {
 	if e.atBuf == nil {
 		e.atBuf = make([]clock.Time, BatchSize)
 		e.doneBuf = make([]clock.Time, BatchSize)
@@ -336,7 +199,7 @@ func (e *Engine) runBatchedColumns(cs trace.ColumnStream, ca mech.ColumnAccessor
 			sub.Dec = sc.Dec[:span]
 			sub.Cores = sc.Cores[:span]
 			done := doneCol[:span]
-			ca.AccessColumn(sub, at[:span], done)
+			e.m.AccessColumn(sub, at[:span], done)
 			e.columnSpans++
 			bad := -1
 			for k := 0; k < span; k++ {
@@ -375,13 +238,4 @@ func (e *Engine) runBatchedColumns(cs trace.ColumnStream, ca mech.ColumnAccessor
 	}
 	acc.FlushTo(res)
 	return nil
-}
-
-// MustRun is Run for known-good streams; it panics on error.
-func (e *Engine) MustRun(workload string, s trace.Stream) stats.Result {
-	res, err := e.Run(workload, s)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

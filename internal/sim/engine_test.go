@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -25,10 +26,7 @@ func TestRunStatic(t *testing.T) {
 	b := newBackend()
 	e := New(b, mech.NewStatic("TLM", b))
 	w, _ := workload.Homogeneous("gcc")
-	res, err := e.Run("gcc", w.MustStream(10000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustReplay(t, e, "gcc", w.MustStream(10000, 1))
 	if res.Requests != 10000 {
 		t.Fatalf("requests %d", res.Requests)
 	}
@@ -43,15 +41,133 @@ func TestRunStatic(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnorderedTrace(t *testing.T) {
-	b := newBackend()
-	e := New(b, mech.NewStatic("TLM", b))
-	reqs := []trace.Request{
-		{Addr: 0, Time: 100 * clock.Nanosecond},
-		{Addr: 64, Time: 50 * clock.Nanosecond},
+// faultyMech is a fixed-latency mechanism that breaks the engine's
+// contract once: its bad-th serviced request (counting from 0, in service
+// order, -1 for never) completes at its issue time. It never reads a
+// request's address or write bit, so it runs over fakeColumns.
+type faultyMech struct{ n, bad int }
+
+func (f *faultyMech) Name() string { return "faulty" }
+
+func (f *faultyMech) service(at clock.Time) clock.Time {
+	f.n++
+	if f.n-1 == f.bad {
+		return at
 	}
-	if _, err := e.Run("bad", trace.NewSliceStream(reqs)); err == nil {
-		t.Fatal("unordered trace accepted")
+	return at + 40*clock.Nanosecond
+}
+
+func (f *faultyMech) Access(_ *trace.Request, at clock.Time) clock.Time { return f.service(at) }
+
+func (f *faultyMech) AccessDecoded(_ *trace.Request, _ *trace.Decoded, at clock.Time) clock.Time {
+	return f.service(at)
+}
+
+func (f *faultyMech) AccessColumn(_ *trace.SpanColumns, at, done []clock.Time) {
+	for i := range at {
+		done[i] = f.service(at[i])
+	}
+}
+
+func (f *faultyMech) Stats() mech.MigStats { return mech.MigStats{} }
+
+// fakeColumns is a ColumnStream over bare arrival times: spans carry the
+// times and zero-valued plane entries and cores, nothing else.
+type fakeColumns struct {
+	times   []clock.Time
+	pos     int
+	columns bool
+}
+
+func (f *fakeColumns) HasColumns() bool { return f.columns }
+
+func (f *fakeColumns) NextSpan(max int) trace.SpanColumns {
+	n := len(f.times) - f.pos
+	if max > 0 && n > max {
+		n = max
+	}
+	lo := f.pos
+	f.pos += n
+	return trace.SpanColumns{Times: f.times[lo:f.pos], Dec: make([]trace.Decoded, n), Cores: make([]byte, n)}
+}
+
+// errorCase runs times through the production loop over fakeColumns and
+// through the oracle over the same requests, each against a fresh
+// faultyMech, and requires both to fail with the same error text and the
+// same partial Result.
+func errorCase(t *testing.T, label string, times []clock.Time, bad, window int) {
+	t.Helper()
+	reqs := make([]trace.Request, len(times))
+	for i, at := range times {
+		reqs[i] = trace.Request{Addr: uint64(i) * 64, Time: at}
+	}
+	newEngine := func() *Engine {
+		e := New(newBackend(), &faultyMech{bad: bad})
+		e.Window = window
+		return e
+	}
+	refRes, refErr := newEngine().runOracle("bad", trace.NewSliceStream(reqs), nil)
+	res, err := newEngine().Run("bad", &fakeColumns{times: times, columns: true})
+	if refErr == nil || err == nil {
+		t.Fatalf("%s: violation accepted (oracle err %v, engine err %v)", label, refErr, err)
+	}
+	if err.Error() != refErr.Error() {
+		t.Errorf("%s: error diverged:\noracle: %v\nengine: %v", label, refErr, err)
+	}
+	if res.Requests != refRes.Requests || res.TotalStall != refRes.TotalStall || res.Span != refRes.Span {
+		t.Errorf("%s: partial result (requests %d, stall %v, span %v), oracle (requests %d, stall %v, span %v)",
+			label, res.Requests, res.TotalStall, res.Span, refRes.Requests, refRes.TotalStall, refRes.Span)
+	}
+	if res.Requests == 0 {
+		t.Errorf("%s: no request accounted before the violation", label)
+	}
+}
+
+// arrivals returns n arrival times 3 ns apart — closer than faultyMech's
+// latency, so narrow windows gate issue.
+func arrivals(n int) []clock.Time {
+	times := make([]clock.Time, n)
+	for i := range times {
+		times[i] = clock.Time(i+1) * 3 * clock.Nanosecond
+	}
+	return times
+}
+
+// TestRunRejectsUnorderedTrace: a timestamp that goes backwards fails the
+// run with the oracle's error and partial result, wherever it falls
+// relative to span boundaries and whatever the window.
+func TestRunRejectsUnorderedTrace(t *testing.T) {
+	for _, window := range []int{0, 1, 32, -1} {
+		for _, at := range []int{1, 255, 256, 600} {
+			times := arrivals(700)
+			times[at] = times[at-1] - 1
+			errorCase(t, fmt.Sprintf("window=%d/at=%d", window, at), times, -1, window)
+		}
+	}
+}
+
+// TestRunRejectsContractViolation: a mechanism that completes a request
+// at (or before) its issue time fails the run with the oracle's error and
+// partial result — the tally stops at the offending request even though
+// the column entry point has serviced the rest of its span.
+func TestRunRejectsContractViolation(t *testing.T) {
+	for _, window := range []int{0, 1, 32, -1} {
+		for _, bad := range []int{1, 255, 256, 600} {
+			errorCase(t, fmt.Sprintf("window=%d/bad=%d", window, bad), arrivals(700), bad, window)
+		}
+	}
+}
+
+// TestRunRejectsStreamWithoutColumns: a stream that cannot serve decoded
+// spans is an error, not a fallback to some other loop.
+func TestRunRejectsStreamWithoutColumns(t *testing.T) {
+	e := New(newBackend(), &faultyMech{bad: -1})
+	res, err := e.Run("plain", &fakeColumns{times: arrivals(10)})
+	if err == nil {
+		t.Fatal("stream without columns accepted")
+	}
+	if res.Requests != 0 || e.ColumnSpans() != 0 {
+		t.Fatalf("run serviced requests before rejecting the stream: %+v", res)
 	}
 }
 
@@ -68,12 +184,12 @@ func TestWindowGatesIssue(t *testing.T) {
 	b1 := newBackend()
 	e1 := New(b1, mech.NewStatic("TLM", b1))
 	e1.Window = 1
-	narrow := e1.MustRun("w", mkTrace())
+	narrow := mustReplay(t, e1, "w", mkTrace())
 
 	b2 := newBackend()
 	e2 := New(b2, mech.NewStatic("TLM", b2))
 	e2.Window = -1 // unlimited
-	wide := e2.MustRun("w", mkTrace())
+	wide := mustReplay(t, e2, "w", mkTrace())
 
 	if narrow.TotalStall <= wide.TotalStall {
 		t.Errorf("window=1 stall %v not greater than unlimited %v",
@@ -86,7 +202,7 @@ func TestDeterministicRuns(t *testing.T) {
 		b := newBackend()
 		e := New(b, core.MustNew(core.DefaultConfig(), b))
 		w, _ := workload.Mix(5)
-		return e.MustRun("mix5", w.MustStream(30000, 7))
+		return mustReplay(t, e, "mix5", w.MustStream(30000, 7))
 	}
 	a, b := run(), run()
 	if a != b {
@@ -107,7 +223,7 @@ func TestMechanismOrderingSmoke(t *testing.T) {
 	runWith := func(w workload.Workload, build func(b *mech.Backend) mech.Mechanism) stats.Result {
 		b := newBackend()
 		e := New(b, build(b))
-		return e.MustRun(w.Name, w.MustStream(n, 42))
+		return mustReplay(t, e, w.Name, w.MustStream(n, 42))
 	}
 
 	hotset, _ := workload.Homogeneous("cactus")
@@ -116,7 +232,7 @@ func TestMechanismOrderingSmoke(t *testing.T) {
 
 	hbmLayout := addr.Layout{FastBytes: 9 << 30, FastChannels: 8, NumPods: 4}
 	hb := mech.NewBackend(memsys.MustNew(hbmLayout, dram.HBM(), dram.DDR4_1600()))
-	hbm := New(hb, mech.NewStatic("HBM-only", hb)).MustRun("cactus", hotset.MustStream(n, 42))
+	hbm := mustReplay(t, New(hb, mech.NewStatic("HBM-only", hb)), "cactus", hotset.MustStream(n, 42))
 
 	stream, _ := workload.Homogeneous("bwaves")
 	tlmS := runWith(stream, func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
@@ -158,7 +274,7 @@ func TestBaselineMechanismsRunCleanly(t *testing.T) {
 	for _, build := range builders {
 		b := newBackend()
 		m := build(b)
-		res, err := New(b, m).Run("mix1", w.MustStream(n, 11))
+		res, err := replay(New(b, m), "mix1", w.MustStream(n, 11))
 		if err != nil {
 			t.Errorf("%s: %v", m.Name(), err)
 			continue

@@ -25,7 +25,7 @@ func driveWorkload(t *testing.T, m mech.Mechanism, b *mech.Backend, seed int64) 
 		t.Fatal(err)
 	}
 	e := New(b, m)
-	if _, err := e.Run(w.Name, w.MustStream(invariantTraceLen, seed)); err != nil {
+	if _, err := replay(e, w.Name, w.MustStream(invariantTraceLen, seed)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,7 +121,7 @@ func TestAccessConservation(t *testing.T) {
 	b := newBackend()
 	m := core.MustNew(core.DefaultConfig(), b)
 	w, _ := workload.Homogeneous("cactus")
-	res := New(b, m).MustRun("cactus", w.MustStream(invariantTraceLen, 9))
+	res := mustReplay(t, New(b, m), "cactus", w.MustStream(invariantTraceLen, 9))
 
 	total := b.Sys.FastStats().Accesses() + b.Sys.SlowStats().Accesses()
 	expected := res.Requests + res.Mig.LineMigrations*2 // each moved line: read + write

@@ -1,11 +1,12 @@
-// Pod-parallel replay: the engine-side exploitation of the paper's core
-// architectural property. MemPod's pods are independent between migration
-// intervals — migration traffic never leaves a pod, each pod owns its
-// channels, tables and locks, and only the epoch rollover walks all pods
-// (§5). The serial engine interleaves every pod's requests on one
-// goroutine; this path simulates the pods on separate workers between
-// boundaries and joins at a deterministic barrier where the interval work
-// runs in fixed pod order, producing bit-identical results.
+// Pod-parallel replay, opt-in through Engine.Shards >= 2: the engine-side
+// exploitation of the paper's core architectural property. MemPod's pods
+// are independent between migration intervals — migration traffic never
+// leaves a pod, each pod owns its channels, tables and locks, and only
+// the epoch rollover walks all pods (§5). The serial loop interleaves
+// every pod's requests on one goroutine; this path simulates the pods on
+// separate workers between boundaries and joins at a deterministic
+// barrier where the interval work runs in fixed pod order, producing
+// bit-identical results.
 //
 // # Why blocks of exactly one window
 //
@@ -29,14 +30,20 @@
 //     lock sweeps, refresh-independent queue scheduling) serially, in
 //     fixed pod order — exactly the code the serial path runs inline.
 //  3. Fan each segment out to the workers; worker w simulates the
-//     requests of pods with Pod % workers == w, in request order, writing
-//     completions into the ring at the request's own slot. Pods share no
-//     mutable state (mech.PodSharded's contract), pod-disjoint channel
-//     sets make the DRAM model safe (each dram.Channel reconciles its own
-//     refresh arithmetic lazily, so idle shards need no clock sync), and
-//     per-worker stats.Accum tallies merge in fixed order afterwards.
+//     requests of pods with Pod % workers == w, in request order, through
+//     the mechanism's AccessShardedColumn and a worker-private column
+//     plan, then writes completions into the ring at the request's own
+//     slot. Pods share no mutable state (mech.PodSharded's contract),
+//     pod-disjoint channel sets make the DRAM model safe (each
+//     dram.Channel reconciles its own refresh arithmetic lazily, so idle
+//     shards need no clock sync), and per-worker stats.Accum tallies
+//     merge in fixed order afterwards.
 //  4. Barrier (WaitGroup park, not spin — the forced-shards tests run on
 //     a single P under -race), then the next segment or block.
+//
+// The 50 µs barrier costs more than the pod work between two barriers on
+// small machines (about 0.5× the serial loop's speed at GOMAXPROCS=2),
+// which is why the path is opt-in rather than a default.
 //
 // Error paths: a trace-order violation truncates the block at the
 // offending request before dispatch, matching the serial path exactly. A
@@ -48,7 +55,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/clock"
@@ -72,29 +78,26 @@ type podWorker struct {
 	acc    stats.Accum
 	err    error // first contract violation seen by this worker
 	errIdx int   // block index of that violation
-	// arr/done are the worker's dense postpass columns on the column
-	// path: the owned requests' arrivals and completions, gathered so
-	// stall accounting runs through stats.Accum.NoteColumn.
+	// arr/done are the worker's dense postpass columns: the owned
+	// requests' arrivals and completions, gathered so stall accounting
+	// runs through stats.Accum.NoteColumn.
 	arr  []clock.Time
 	done []clock.Time
 	_    [64]byte
 }
 
 // podParallel holds the pod-parallel path's reusable block buffers and
-// per-block dispatch state. The dispatch fields (cur*, ringBase) are
+// per-block dispatch state. The dispatch fields (block, ringBase) are
 // written by the coordinator before the segment send and read by workers
 // after the receive; the channel pair orders them.
 type podParallel struct {
-	reqs  []trace.Request
-	dec   []trace.Decoded
 	at    []clock.Time
 	touch []bool
-	// done is the block's completion column on the column path; workers
-	// write only their owned indices (pods partition the block).
+	// done is the block's completion column; workers write only their
+	// owned indices (pods partition the block).
 	done []clock.Time
 
-	curReqs  []trace.Request
-	curDec   []trace.Decoded
+	block    trace.SpanColumns
 	ringBase int
 	workers  []podWorker
 	wg       sync.WaitGroup
@@ -102,55 +105,40 @@ type podParallel struct {
 
 // grow sizes the block buffers for blockLen-request blocks.
 func (pp *podParallel) grow(blockLen int) {
-	if cap(pp.reqs) < blockLen {
-		pp.reqs = make([]trace.Request, blockLen)
-		pp.dec = make([]trace.Decoded, blockLen)
+	if cap(pp.at) < blockLen {
 		pp.at = make([]clock.Time, blockLen)
 		pp.touch = make([]bool, blockLen)
 		pp.done = make([]clock.Time, blockLen)
 	}
-	pp.reqs = pp.reqs[:blockLen]
-	pp.dec = pp.dec[:blockLen]
 	pp.at = pp.at[:blockLen]
 	pp.touch = pp.touch[:blockLen]
 	pp.done = pp.done[:blockLen]
 }
 
 // shardPlan decides whether this run takes the pod-parallel path and with
-// how many workers. It requires a pod-sharded mechanism and a predecode
-// plane (the shard key is the decoded home pod); the worker count follows
-// e.Shards and is always capped at the pod count.
-func (e *Engine) shardPlan(bs trace.BatchStream) (mech.PodSharded, int) {
+// how many workers: only a pod-sharded mechanism with e.Shards >= 2 does,
+// and the worker count is capped at the pod count.
+func (e *Engine) shardPlan() (mech.PodSharded, int) {
+	if e.Shards < 2 {
+		return nil, 0
+	}
 	ps, ok := e.m.(mech.PodSharded)
-	if !ok || !bs.HasPlane() {
+	if !ok {
 		return nil, 0
 	}
-	workers := e.Shards
-	switch {
-	case workers < 0:
-		return nil, 0
-	case workers == 0:
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if p := ps.Pods(); workers > p {
-		workers = p
-	}
-	if workers < 2 {
-		return nil, 0
-	}
-	return ps, workers
+	return ps, min(e.Shards, ps.Pods())
 }
 
 // ParallelBlocks reports how many request blocks the engine has processed
 // on the pod-parallel path, across all runs. Zero after a run means the
-// run fell back to a serial path.
+// run took the serial loop.
 func (e *Engine) ParallelBlocks() uint64 { return e.parallelBlocks }
 
-// runPodParallel replays a planed batch stream with one worker per pod
-// shard, joining at interval boundaries. See the package comment above
-// for the scheme; bit-identity with runBatched is asserted per mechanism
-// by TestPodParallelBitIdentical.
-func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, workers int, ring []clock.Time, window int, res *stats.Result) error {
+// runPodParallel replays a column stream with one worker per pod shard,
+// joining at interval boundaries. See the package comment above for the
+// scheme; bit-identity with the serial loop is asserted per mechanism by
+// TestPodParallelBitIdentical.
+func (e *Engine) runPodParallel(cs trace.ColumnStream, ps mech.PodSharded, workers int, ring []clock.Time, window int, res *stats.Result) error {
 	blockLen := window
 	if blockLen <= 0 {
 		blockLen = unlimitedBlock
@@ -160,82 +148,45 @@ func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, worker
 	}
 	pp := e.pp
 	pp.grow(blockLen)
-	sbs, shared := bs.(trace.SharedBatchStream)
 	tf := ps.SharedTouch()
-
-	psc, _ := ps.(mech.PodShardedColumns)
-	if e.noColumns {
-		psc = nil
-	}
 
 	pp.workers = make([]podWorker, workers)
 	for w := range pp.workers {
 		pp.workers[w].jobs = make(chan segment, 1)
 		go func(w int) {
 			pw := &pp.workers[w]
-			// Column-capable mechanisms get a worker-private plan: workers
-			// own disjoint pods, so their plans route to disjoint channel
+			// Each worker routes through its own plan: workers own
+			// disjoint pods, so their plans route to disjoint channel
 			// sets and flush without synchronization.
-			var plan *mech.ColumnPlan
-			if psc != nil {
-				plan = mech.NewColumnPlan(e.backend.Sys)
+			sc := mech.ShardedColumn{
+				Plan:    mech.NewColumnPlan(e.backend.Sys),
+				Span:    &pp.block,
+				Worker:  w,
+				Workers: workers,
 			}
 			for sg := range pw.jobs {
-				reqs, dec := pp.curReqs, pp.curDec
-				at, touch := pp.at, pp.touch
-				if plan != nil {
-					doneCol := pp.done
-					psc.AccessShardedColumn(&mech.ShardedColumn{
-						Plan: plan, Reqs: reqs, Dec: dec, At: at,
-						Touched: touch, Done: doneCol,
-						Lo: sg.lo, Hi: sg.hi, Worker: w, Workers: workers,
-					})
-					// Postpass over the worker's own indices: contract
-					// check, ring writes, and the dense arrival/completion
-					// columns for NoteColumn. A contract violation stops
-					// the tally at the offending request, like the
-					// per-request path (the rest of the segment has been
-					// simulated by then; see the error-path note above).
-					arr, done := pw.arr[:0], pw.done[:0]
-					for i := sg.lo; i < sg.hi; i++ {
-						if int(dec[i].Pod)%workers != w {
-							continue
-						}
-						issue := at[i]
-						d := doneCol[i]
-						if d <= issue {
-							if pw.err == nil {
-								pw.err = fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-									ps.Name(), d, issue)
-								pw.errIdx = i
-							}
-							break
-						}
-						if ring != nil {
-							slot := pp.ringBase + i
-							if slot >= window {
-								slot -= window
-							}
-							ring[slot] = d
-						}
-						arr = append(arr, reqs[i].Time)
-						done = append(done, d)
-					}
-					pw.acc.NoteColumn(arr, done)
-					pw.arr, pw.done = arr, done
-					pp.wg.Done()
-					continue
-				}
+				at, doneCol := pp.at, pp.done
+				sc.At, sc.Touched, sc.Done = at, pp.touch, doneCol
+				sc.Lo, sc.Hi = sg.lo, sg.hi
+				ps.AccessShardedColumn(&sc)
+				// Postpass over the worker's own indices: contract check,
+				// ring writes, and the dense arrival/completion columns
+				// for NoteColumn. A contract violation stops the tally at
+				// the offending request, like the serial loop (the rest of
+				// the segment has been simulated by then; see the
+				// error-path note above).
+				dec, times := pp.block.Dec, pp.block.Times
+				arr, done := pw.arr[:0], pw.done[:0]
 				for i := sg.lo; i < sg.hi; i++ {
 					if int(dec[i].Pod)%workers != w {
 						continue
 					}
 					issue := at[i]
-					done := ps.AccessSharded(&reqs[i], &dec[i], issue, touch[i])
-					if done <= issue {
+					d := doneCol[i]
+					if d <= issue {
 						if pw.err == nil {
 							pw.err = fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-								ps.Name(), done, issue)
+								ps.Name(), d, issue)
 							pw.errIdx = i
 						}
 						break
@@ -245,10 +196,13 @@ func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, worker
 						if slot >= window {
 							slot -= window
 						}
-						ring[slot] = done
+						ring[slot] = d
 					}
-					pw.acc.Note(reqs[i].Time, done)
+					arr = append(arr, times[i])
+					done = append(done, d)
 				}
+				pw.acc.NoteColumn(arr, done)
+				pw.arr, pw.done = arr, done
 				pp.wg.Done()
 			}
 		}(w)
@@ -272,26 +226,19 @@ func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, worker
 	var processed uint64
 	ringPos := 0
 	for {
-		var n int
-		var dec []trace.Decoded
-		if shared {
-			n, dec = sbs.NextBatchShared(pp.reqs[:blockLen])
-		} else {
-			n = bs.NextBatch(pp.reqs[:blockLen], pp.dec[:blockLen])
-			dec = pp.dec[:n]
-		}
+		block := cs.NextSpan(blockLen)
+		n := block.Len()
 		if n == 0 {
 			break
 		}
-		reqs := pp.reqs[:n]
 
 		// Serial prepass: order check, window gates, touch bits. A
 		// misordered request truncates the block before it, exactly where
-		// the serial path would stop.
+		// the serial loop would stop.
 		var orderErr error
-		at := pp.at
+		at, times, dec, cores := pp.at, block.Times, block.Dec, block.Cores
 		for i := 0; i < n; i++ {
-			t := reqs[i].Time
+			t := times[i]
 			if t < lastArrival {
 				orderErr = fmt.Errorf("sim: trace out of order at request %d (%v < %v)",
 					processed+uint64(i), t, lastArrival)
@@ -309,10 +256,10 @@ func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, worker
 				}
 			}
 			at[i] = t
-			pp.touch[i] = tf.Touch(reqs[i].Core, dec[i].Page)
+			pp.touch[i] = tf.Touch(cores[i], dec[i].Page)
 		}
 
-		pp.curReqs, pp.curDec, pp.ringBase = reqs[:n], dec[:n], ringPos
+		pp.block, pp.ringBase = block, ringPos
 		for lo := 0; lo < n; {
 			// The barrier's serial half: every boundary at or before the
 			// segment head runs now, in fixed pod order — the same loop
@@ -330,9 +277,7 @@ func (e *Engine) runPodParallel(bs trace.BatchStream, ps mech.PodSharded, worker
 				pp.workers[w].jobs <- segment{lo, hi}
 			}
 			pp.wg.Wait()
-			if psc != nil {
-				e.columnSpans++
-			}
+			e.columnSpans++
 			for w := range pp.workers {
 				if pp.workers[w].err != nil {
 					// Deterministic error selection: the earliest failing

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mech"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -33,16 +32,17 @@ var podParallelCases = []struct {
 	}},
 }
 
-// TestPodParallelBitIdentical is the tentpole's differential guarantee:
-// for every mechanism, replaying one trace through the serial batched
-// path and through the pod-parallel path (workers forced on, whatever
-// GOMAXPROCS is) must produce field-identical Results — and leave the
-// mechanisms' shared touch filters in identical states. Mechanisms that
-// are not pod-sharded (HMA, THM, CAMEO, Static: their swaps cross pods
-// mid-interval) must fall back to the serial path, which the
-// ParallelBlocks counter asserts. CI runs this under -race, which is the
-// other half of the proof: any cross-pod state AccessSharded touches
-// concurrently is a detected race, not a silent divergence.
+// TestPodParallelBitIdentical is pod-parallel's differential guarantee:
+// for every mechanism, replaying one trace through the test-only oracle
+// (Access and AccessDecoded), the serial column loop and the pod-parallel
+// path (workers forced on, whatever GOMAXPROCS is) must produce
+// field-identical Results — and leave the mechanisms' shared touch
+// filters in identical states. Mechanisms that are not pod-sharded (HMA,
+// THM, CAMEO, Migrant, Static: their swaps cross pods mid-interval) must
+// run serially whatever Shards says, which the ParallelBlocks counter
+// asserts. CI runs this under -race, which is the other half of the
+// proof: any cross-pod state AccessShardedColumn touches concurrently is
+// a detected race, not a silent divergence.
 func TestPodParallelBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -52,100 +52,43 @@ func TestPodParallelBitIdentical(t *testing.T) {
 	reqs := trace.Collect(w.MustStream(n, 11))
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
-
-	// run replays the snapshot through a fresh backend+mechanism with the
-	// given window and shard setting, returning the result, the engine (for
-	// its path counters) and the mechanism's final touch-filter state.
-	// noColumns forces per-request dispatch inside whichever path runs.
-	run := func(t *testing.T, build func(b *mech.Backend) mech.Mechanism, window, shards int, noColumns bool) (stats.Result, *Engine, *mech.TouchFilter) {
-		t.Helper()
-		b := newBackend()
-		m := build(b)
-		e := New(b, m)
-		e.Window = window
-		e.Shards = shards
-		e.noColumns = noColumns
-		res, err := e.Run(w.Name, snap.DecodedStream(&b.Geom))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tf *mech.TouchFilter
-		if ts, ok := m.(mech.TouchSharer); ok {
-			tf = ts.SharedTouch()
-		}
-		return res, e, tf
+	paths := func(t *testing.T, build func(b *mech.Backend) mech.Mechanism, window int) enginePaths {
+		return enginePaths{t: t, name: w.Name, reqs: reqs, snap: snap,
+			newSys: newBackend, build: build, window: window}
 	}
 
 	// Every mechanism at the default window, shards forced to the pod
-	// count: sharded mechanisms must parallelize, the rest must fall back
-	// — and all must match the serial result exactly.
+	// count: sharded mechanisms must parallelize, the rest must stay
+	// serial — and all must match the oracle exactly.
 	for _, mc := range mechanisms {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			serial, se, serialTouch := run(t, mc.build, 0, 1, false)
-			if serial.Requests != n {
-				t.Fatalf("serial replayed %d requests, want %d", serial.Requests, n)
-			}
-			if se.ParallelBlocks() != 0 {
-				t.Fatalf("Shards=1 run took the parallel path (%d blocks)", se.ParallelBlocks())
-			}
-			par, pe, parTouch := run(t, mc.build, 0, 4, false)
-			_, sharded := mc.build(newBackend()).(mech.PodSharded)
-			if sharded && pe.ParallelBlocks() == 0 {
-				t.Errorf("pod-sharded mechanism never took the parallel path")
-			}
-			if !sharded && pe.ParallelBlocks() != 0 {
-				t.Errorf("non-sharded mechanism took the parallel path (%d blocks)", pe.ParallelBlocks())
-			}
-			diffResults(t, "parallel vs serial", par, serial)
-			if serialTouch != nil && parTouch != nil && *serialTouch != *parTouch {
-				t.Errorf("touch filter state diverged between serial and parallel runs")
-			}
+			paths(t, mc.build, 0).check(mc.name, 4)
 		})
 	}
 
 	// The sharded mechanisms across window shapes and worker counts:
 	// window 32 makes blocks small (many wavefronts, boundary crossings
 	// land mid-block), -1 removes gating entirely (unlimited-block path),
-	// and 3 workers assigns pods unevenly (pod 3 shares worker 0). Each
-	// cell runs four ways — serial and parallel, columns and per-request —
-	// and all four must agree, which is the tentpole's differential proof
-	// for the sharded-column worker path.
+	// and 3 workers assigns pods unevenly (pod 3 shares worker 0). The
+	// cache variant exercises the bookkeeping cache's per-request
+	// fallback inside the sharded column entry point.
 	for _, mc := range podParallelCases {
 		mc := mc
 		for _, window := range []int{0, 32, -1} {
 			for _, shards := range []int{2, 3, 4} {
 				t.Run(fmt.Sprintf("%s/window=%d/shards=%d", mc.name, window, shards), func(t *testing.T) {
-					serial, _, serialTouch := run(t, mc.build, window, 1, true)
-					par, pe, parTouch := run(t, mc.build, window, shards, false)
-					if pe.ParallelBlocks() == 0 {
-						t.Fatalf("run never took the parallel path")
-					}
-					if pe.ColumnSpans() == 0 {
-						t.Errorf("parallel run never dispatched sharded columns")
-					}
-					diffResults(t, "parallel(columns) vs serial(per-request)", par, serial)
-					if *serialTouch != *parTouch {
-						t.Errorf("touch filter state diverged between serial and parallel runs")
-					}
-					parNC, pnce, parNCTouch := run(t, mc.build, window, shards, true)
-					if pnce.ColumnSpans() != 0 {
-						t.Errorf("noColumns parallel run dispatched columns (%d spans)", pnce.ColumnSpans())
-					}
-					diffResults(t, "parallel(per-request) vs serial(per-request)", parNC, serial)
-					if *serialTouch != *parNCTouch {
-						t.Errorf("touch filter state diverged between serial and noColumns parallel runs")
-					}
+					paths(t, mc.build, window).check(mc.name, shards)
 				})
 			}
 		}
 	}
 }
 
-// TestPodParallelRejectsUnorderedTrace mirrors the serial engine's
-// order-violation contract on the parallel path: the run fails, and the
-// requests before the violation are still accounted (the block truncates
-// exactly at the offending request).
+// TestPodParallelRejectsUnorderedTrace mirrors the oracle's
+// order-violation contract on the parallel path: the run fails with the
+// oracle's error, and the requests before the violation are still
+// accounted (the block truncates exactly at the offending request).
 func TestPodParallelRejectsUnorderedTrace(t *testing.T) {
 	w, err := workload.Mix(5)
 	if err != nil {
@@ -158,36 +101,33 @@ func TestPodParallelRejectsUnorderedTrace(t *testing.T) {
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 
-	runWith := func(shards int, noColumns bool) (stats.Result, error) {
+	newEngine := func(shards int) *Engine {
 		b := newBackend()
 		e := New(b, core.MustNew(core.DefaultConfig(), b))
 		e.Shards = shards
-		e.noColumns = noColumns
-		return e.Run(w.Name, snap.DecodedStream(&b.Geom))
+		return e
 	}
-	refRes, refErr := runWith(1, true)
-	serialRes, serialErr := runWith(1, false)
-	parRes, parErr := runWith(4, false)
-	if refErr == nil || serialErr == nil || parErr == nil {
-		t.Fatalf("unordered trace accepted (reference err %v, serial err %v, parallel err %v)",
-			refErr, serialErr, parErr)
+	refRes, refErr := newEngine(0).runOracle(w.Name, trace.NewSliceStream(reqs), nil)
+	if refErr == nil {
+		t.Fatal("oracle accepted the unordered trace")
 	}
-	if serialErr.Error() != refErr.Error() {
-		t.Errorf("error diverged:\nper-request: %v\ncolumns:     %v", refErr, serialErr)
+	for _, shards := range []int{1, 2, 3, 4} {
+		e := newEngine(shards)
+		res, err := e.Run(w.Name, snap.DecodedStream(&e.backend.Geom))
+		if err == nil {
+			t.Fatalf("shards=%d: unordered trace accepted", shards)
+		}
+		if err.Error() != refErr.Error() {
+			t.Errorf("shards=%d: error diverged:\noracle: %v\ngot:    %v", shards, refErr, err)
+		}
+		diffResults(t, fmt.Sprintf("shards=%d partial result vs oracle", shards), res, refRes)
 	}
-	if serialErr.Error() != parErr.Error() {
-		t.Errorf("error diverged:\nserial:   %v\nparallel: %v", serialErr, parErr)
-	}
-	diffResults(t, "partial result columns vs per-request", serialRes, refRes)
-	diffResults(t, "partial result parallel vs serial", parRes, serialRes)
 }
 
-// BenchmarkEnginePodParallel measures the pod-parallel path against the
-// serial batched path on one MemPod replay, so the intra-cell speedup is
-// a reported number. shards=0 is auto (tracks GOMAXPROCS); the forced
-// worker counts show the scaling shape on multicore machines — on a
-// single-P run the forced variants measure pure barrier overhead, which
-// is itself worth watching.
+// BenchmarkEnginePodParallel measures the opt-in pod-parallel path against
+// the serial column loop (shards=1) on one MemPod replay, so the
+// intra-cell speedup is a reported number; the forced worker counts show
+// the scaling shape on multicore machines.
 func BenchmarkEnginePodParallel(b *testing.B) {
 	const n = 60_000
 	w, err := workload.Mix(5)

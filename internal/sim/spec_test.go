@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,14 +77,24 @@ func TestSpecPresetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMigrantBatchedBitIdenticalAcrossSpecs holds the new mechanism to the
-// engine's differential bar on every preset spec: for each preset the
-// registry ships, serial replay, the fused batched column path and the
-// per-request decoded path must agree field-for-field — including the
-// presets with non-default row geometry (LPDDR5, NVM), write asymmetry
-// (NVM) and link latency (CXL).
-func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
-	const n = 40_000
+// specPair returns the (fast, slow) pair a preset is evaluated in:
+// stacked presets take the fast role against the paper's DDR4, everything
+// else takes the slow role behind the paper's HBM.
+func specPair(preset string) (fast, slow dram.Spec) {
+	if strings.HasPrefix(preset, "HBM") {
+		return dram.MustPreset(preset), dram.MustPreset("DDR4-1600")
+	}
+	return dram.MustPreset("HBM"), dram.MustPreset(preset)
+}
+
+// checkAcrossSpecs holds one mechanism to the engine's differential bar
+// on every preset the registry ships, at the default, a narrow and an
+// unlimited window: the oracle (Access and AccessDecoded), the production
+// column loop and pod-parallel at 2–4 shards must agree field by field,
+// touch-filter state included — on the presets with non-default row
+// geometry (LPDDR5, NVM), write asymmetry (NVM) and link latency (CXL)
+// too.
+func checkAcrossSpecs(t *testing.T, mc func(b *mech.Backend) mech.Mechanism, name string, n int) {
 	w, err := workload.Mix(5)
 	if err != nil {
 		t.Fatal(err)
@@ -92,37 +103,37 @@ func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
 	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 
-	mi := mechanisms[migrantIndex(t)]
 	for _, preset := range dram.PresetNames() {
-		// Stacked presets take the fast role against the paper's DDR4;
-		// everything else takes the slow role behind the paper's HBM.
-		fast, slow := dram.MustPreset("HBM"), dram.MustPreset(preset)
-		if strings.HasPrefix(preset, "HBM") {
-			fast, slow = dram.MustPreset(preset), dram.MustPreset("DDR4-1600")
+		fast, slow := specPair(preset)
+		newSys := func() *mech.Backend {
+			return mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
 		}
-		runWith := func(s trace.Stream, noColumns bool) stats.Result {
-			b := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-			m := mi.build(b)
-			defer mech.Release(m)
-			e := New(b, m)
-			e.noColumns = noColumns
-			res, err := e.Run(w.Name, s)
-			if err != nil {
-				t.Fatalf("%s: %v", preset, err)
-			}
-			return res
+		for _, window := range []int{0, 32, -1} {
+			p := enginePaths{t: t, name: w.Name, reqs: reqs, snap: snap,
+				newSys: newSys, build: mc, window: window}
+			p.check(fmt.Sprintf("%s %s/window=%d", name, preset, window), 2, 3, 4)
 		}
-		serial := runWith(trace.NewSliceStream(reqs), false)
-		planeBackend := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-		columns := runWith(snap.DecodedStream(&planeBackend.Geom), false)
-		perReqBackend := mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
-		perReq := runWith(snap.DecodedStream(&perReqBackend.Geom), true)
+	}
+}
 
-		if serial.Requests != n {
-			t.Fatalf("%s: serial replayed %d requests, want %d", preset, serial.Requests, n)
+// TestMigrantBatchedBitIdenticalAcrossSpecs holds Migrant to the
+// engine's differential bar on every preset spec.
+func TestMigrantBatchedBitIdenticalAcrossSpecs(t *testing.T) {
+	mi := mechanisms[migrantIndex(t)]
+	checkAcrossSpecs(t, mi.build, mi.name, 40_000)
+}
+
+// TestEngineBitIdenticalAcrossSpecs holds every other mechanism to the
+// same bar on every preset spec, on a shorter trace.
+func TestEngineBitIdenticalAcrossSpecs(t *testing.T) {
+	for _, mc := range mechanisms {
+		if mc.name == "Migrant" {
+			continue
 		}
-		diffResults(t, "Migrant "+preset+" columns vs serial", columns, serial)
-		diffResults(t, "Migrant "+preset+" per-request vs serial", perReq, serial)
+		mc := mc
+		t.Run(mc.name, func(t *testing.T) {
+			checkAcrossSpecs(t, mc.build, mc.name, 20_000)
+		})
 	}
 }
 

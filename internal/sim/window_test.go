@@ -22,7 +22,7 @@ func TestWindowMonotonicity(t *testing.T) {
 		b := newBackend()
 		e := New(b, mech.NewStatic("TLM", b))
 		e.Window = window
-		return e.MustRun("mcf", w.MustStream(40_000, 6))
+		return mustReplay(t, e, "mcf", w.MustStream(40_000, 6))
 	}
 	prev := run(4)
 	for _, window := range []int{16, 64, 256} {
@@ -42,7 +42,7 @@ func TestGeneratorVsReplayEquivalence(t *testing.T) {
 	w, _ := workload.Mix(2)
 
 	b1 := newBackend()
-	live := New(b1, mech.NewStatic("TLM", b1)).MustRun("mix2", w.MustStream(20_000, 12))
+	live := mustReplay(t, New(b1, mech.NewStatic("TLM", b1)), "mix2", w.MustStream(20_000, 12))
 
 	var buf bytes.Buffer
 	if _, err := trace.Write(&buf, w.MustStream(20_000, 12)); err != nil {
@@ -53,9 +53,9 @@ func TestGeneratorVsReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	b2 := newBackend()
-	replay := New(b2, mech.NewStatic("TLM", b2)).MustRun("mix2", replayStream)
+	replayed := mustReplay(t, New(b2, mech.NewStatic("TLM", b2)), "mix2", replayStream)
 
-	if live != replay {
-		t.Fatalf("live %+v != replay %+v", live, replay)
+	if live != replayed {
+		t.Fatalf("live %+v != replay %+v", live, replayed)
 	}
 }

@@ -345,7 +345,7 @@ func (t *THM) Access(r *trace.Request, at clock.Time) clock.Time {
 	return t.access(r, page, li, at, nil)
 }
 
-// AccessDecoded implements mech.DecodedAccessor. THM segments the flat
+// AccessDecoded implements mech.Mechanism. THM segments the flat
 // page space its own way, so the segment decomposition and the serviced
 // slot stay on the access path; but when the member still holds its home
 // slot (most of the trace), the plane's precomputed home channel/row
@@ -410,7 +410,7 @@ func (t *THM) access(r *trace.Request, page addr.Page, li int, at clock.Time, d 
 	return done
 }
 
-// AccessColumn implements mech.ColumnAccessor: the access path with
+// AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns. THM's immediate
 // channel traffic comes from queue drains and threshold-triggered swaps
 // (which drain inline); each drained chunk flushes just the two channels
@@ -583,8 +583,6 @@ func (t *THM) SlotOfPage(p addr.Page) int {
 }
 
 var (
-	_ mech.Mechanism       = (*THM)(nil)
-	_ mech.DecodedAccessor = (*THM)(nil)
-	_ mech.Releaser        = (*THM)(nil)
-	_ mech.ColumnAccessor  = (*THM)(nil)
+	_ mech.Mechanism = (*THM)(nil)
+	_ mech.Releaser  = (*THM)(nil)
 )

@@ -103,10 +103,10 @@ func TestPlaneCachedPerLayout(t *testing.T) {
 	}
 }
 
-// TestNextBatchMatchesNext asserts NextBatch yields exactly the Next
-// sequence — including across batch boundaries that do not divide the
-// snapshot length — and fills plane entries positionally.
-func TestNextBatchMatchesNext(t *testing.T) {
+// TestNextSpanMatchesNext asserts NextSpan yields exactly the Next
+// sequence — including across span caps that do not divide the snapshot
+// length — with each span's columns positionally aligned to the plane.
+func TestNextSpanMatchesNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := addr.DefaultLayout()
 	g := l.Geom()
@@ -115,54 +115,65 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	defer snap.Release()
 	plane := snap.Plane(&g)
 
-	for _, batch := range []int{1, 7, 64, 256, 2048} {
+	for _, max := range []int{1, 7, 64, 256, 2048, 0} {
 		ss := snap.DecodedStream(&g)
-		if !ss.HasPlane() {
-			t.Fatal("DecodedStream cursor has no plane")
+		if !ss.HasColumns() {
+			t.Fatal("DecodedStream cursor has no columns")
 		}
-		dst := make([]Request, batch)
-		dec := make([]Decoded, batch)
 		pos := 0
 		for {
-			n := ss.NextBatch(dst, dec)
+			sc := ss.NextSpan(max)
+			n := sc.Len()
 			if n == 0 {
 				break
 			}
+			if max > 0 && n > max {
+				t.Fatalf("max=%d: span of %d requests", max, n)
+			}
 			for i := 0; i < n; i++ {
-				if dst[i] != reqs[pos] {
-					t.Fatalf("batch=%d request %d: got %+v, want %+v", batch, pos, dst[i], reqs[pos])
+				if got := sc.Request(i); got != reqs[pos] {
+					t.Fatalf("max=%d request %d: got %+v, want %+v", max, pos, got, reqs[pos])
 				}
-				if dec[i] != plane[pos] {
-					t.Fatalf("batch=%d decoded %d: got %+v, want %+v", batch, pos, dec[i], plane[pos])
+				if sc.Dec[i] != plane[pos] {
+					t.Fatalf("max=%d decoded %d: got %+v, want %+v", max, pos, sc.Dec[i], plane[pos])
 				}
 				pos++
 			}
 		}
 		if pos != len(reqs) {
-			t.Fatalf("batch=%d replayed %d requests, want %d", batch, pos, len(reqs))
+			t.Fatalf("max=%d replayed %d requests, want %d", max, pos, len(reqs))
 		}
 	}
 
-	// Mixing Next and NextBatch on one cursor preserves the sequence.
-	ss := snap.Stream()
+	// Mixing Next and NextSpan on one cursor preserves the sequence.
+	ss := snap.DecodedStream(&g)
 	var r Request
 	for i := 0; i < 10; i++ {
 		ss.Next(&r)
 	}
-	var buf [16]Request
-	n := ss.NextBatch(buf[:], nil)
-	for i := 0; i < n; i++ {
-		if buf[i] != reqs[10+i] {
-			t.Fatalf("mixed cursor request %d: got %+v, want %+v", 10+i, buf[i], reqs[10+i])
+	sc := ss.NextSpan(16)
+	for i := 0; i < sc.Len(); i++ {
+		if got := sc.Request(i); got != reqs[10+i] {
+			t.Fatalf("mixed cursor request %d: got %+v, want %+v", 10+i, got, reqs[10+i])
 		}
 	}
-	if !ss.Next(&r) || r != reqs[10+n] {
-		t.Fatalf("Next after NextBatch: got %+v, want %+v", r, reqs[10+n])
+	if !ss.Next(&r) || r != reqs[10+sc.Len()] {
+		t.Fatalf("Next after NextSpan: got %+v, want %+v", r, reqs[10+sc.Len()])
+	}
+
+	// A cursor without the decoded columns serves no spans.
+	if plain := snap.Stream(); plain.HasColumns() || len(plain.NextSpan(16).Times) != 0 {
+		t.Fatal("plain cursor served a span")
 	}
 }
 
-// BenchmarkSnapshotBatchReplay measures the batched replay path per
-// request, the decode-amortized counterpart of BenchmarkSnapshotReplay.
+// benchSink keeps benchmark reads observable to the compiler.
+var benchSink uint64
+
+// BenchmarkSnapshotBatchReplay measures span replay per request — the
+// engine's read of the decoded cursor (NextSpan) at its BatchSize cap,
+// touching every column a mechanism reads — the decode-amortized
+// counterpart of BenchmarkSnapshotReplay.
 func BenchmarkSnapshotBatchReplay(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	l := addr.DefaultLayout()
@@ -171,13 +182,22 @@ func BenchmarkSnapshotBatchReplay(b *testing.B) {
 	snap := Record(NewSliceStream(reqs), len(reqs))
 	defer snap.Release()
 	ss := snap.DecodedStream(&g)
-	var dst [256]Request
-	var dec [256]Decoded
+	var sink uint64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += 256 {
-		if n := ss.NextBatch(dst[:], dec[:]); n == 0 {
+	for i := 0; i < b.N; {
+		sc := ss.NextSpan(256)
+		if sc.Len() == 0 {
 			ss.Reset()
+			continue
 		}
+		for k := range sc.Times {
+			sink += uint64(sc.Times[k]) + sc.Dec[k].Page + uint64(sc.Cores[k])
+			if sc.Write(k) {
+				sink++
+			}
+		}
+		i += sc.Len()
 	}
+	benchSink = sink
 }

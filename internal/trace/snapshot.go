@@ -80,7 +80,7 @@ type Snapshot struct {
 // addr.Layout — including the home frame's channel/row placement, so an
 // unmigrated access needs no address math at all — computed once per
 // snapshot instead of once per simulation cell. 24 bytes, so a 256-entry
-// batch (6 KB) stays L1-resident.
+// span (6 KB) stays L1-resident.
 type Decoded struct {
 	Page  uint64 // global page index (addr.PageOf)
 	Frame uint32 // home frame within the owning pod (addr.Layout.HomeFrame)
@@ -320,17 +320,16 @@ func (s *Snapshot) TimeColumn() []clock.Time {
 }
 
 // DecodedStream returns a replay cursor with the plane for g's layout and
-// the decoded time column bound, so batch replay is pure column reads with
-// no per-cell varint or address decoding.
+// the decoded time column bound, so span replay (NextSpan) is pure column
+// reads with no per-cell varint or address decoding.
 func (s *Snapshot) DecodedStream(g *addr.Geom) *SnapshotStream {
 	return &SnapshotStream{snap: s, dec: s.Plane(g), times: s.TimeColumn()}
 }
 
-// SnapshotStream replays a Snapshot as a trace.Stream. Next performs no
-// allocation: it decodes one varint delta and indexes the columnar arrays.
-// NextBatch amortizes the cursor bookkeeping over whole batches and, when a
-// predecode plane is bound (DecodedStream/BindPlane), delivers each
-// request's Decoded entry alongside it.
+// SnapshotStream replays a Snapshot. Next performs no allocation: it
+// decodes one varint delta and indexes the columnar arrays. A cursor from
+// DecodedStream additionally serves zero-copy spans (NextSpan), the form
+// the simulation engine consumes.
 type SnapshotStream struct {
 	snap  *Snapshot
 	dec   []Decoded    // bound predecode plane, nil if none
@@ -381,48 +380,6 @@ func (ss *SnapshotStream) Reset() {
 // Snapshot returns the snapshot the cursor replays.
 func (ss *SnapshotStream) Snapshot() *Snapshot { return ss.snap }
 
-// BindPlane attaches a predecode plane to the cursor. The plane must be
-// the cursor's snapshot's own (Snapshot.Plane), decoded under the same
-// geometry the consumer services requests with; it panics on a
-// length mismatch. Pass nil to unbind.
-func (ss *SnapshotStream) BindPlane(dec []Decoded) {
-	if dec != nil && len(dec) != ss.snap.n {
-		panic(fmt.Sprintf("trace: plane length %d != snapshot length %d", len(dec), ss.snap.n))
-	}
-	ss.dec = dec
-}
-
-// HasPlane implements BatchStream: it reports whether NextBatch fills
-// Decoded entries.
-func (ss *SnapshotStream) HasPlane() bool { return ss.dec != nil }
-
-// NextBatch implements BatchStream: it fills dst with up to len(dst)
-// requests and returns how many were produced (0 at end of stream). When a
-// plane is bound and `plane` is non-nil, plane[i] receives the predecoded
-// form of dst[i]; plane must then be at least len(dst) long. The request
-// sequence is identical to repeated Next calls, and the two may be mixed
-// on one cursor.
-func (ss *SnapshotStream) NextBatch(dst []Request, plane []Decoded) int {
-	base := ss.pos
-	n := ss.fillBatch(dst)
-	if n > 0 && ss.dec != nil && plane != nil {
-		copy(plane[:n], ss.dec[base:base+n])
-	}
-	return n
-}
-
-// NextBatchShared is NextBatch without the plane copy: the batch's decoded
-// entries come back as a read-only subslice of the bound plane (nil when no
-// plane is bound). The engine's batched loop uses this form.
-func (ss *SnapshotStream) NextBatchShared(dst []Request) (int, []Decoded) {
-	base := ss.pos
-	n := ss.fillBatch(dst)
-	if n == 0 || ss.dec == nil {
-		return n, nil
-	}
-	return n, ss.dec[base : base+n]
-}
-
 // SpanColumns is a zero-copy columnar view of a contiguous run of
 // requests: the decoded arrival times and predecode plane sliced to the
 // span, plus accessors over the snapshot's packed write-bit and address
@@ -469,7 +426,7 @@ func (sc *SpanColumns) Request(i int) Request {
 // zero-copy spans of decoded columns (SpanColumns). HasColumns reports
 // whether NextSpan can produce spans at all; NextSpan returns the next at
 // most max requests (max <= 0 for no cap) as a span, empty at end of
-// stream, advancing the same cursor Next and NextBatch use.
+// stream, advancing the same cursor Next uses.
 type ColumnStream interface {
 	HasColumns() bool
 	NextSpan(max int) SpanColumns
@@ -499,68 +456,6 @@ func (ss *SnapshotStream) NextSpan(max int) SpanColumns {
 		addrs:  s.addrs,
 		base:   base,
 	}
-}
-
-// fillBatch advances the cursor by up to len(dst) requests, writing them
-// into dst, and returns the count.
-func (ss *SnapshotStream) fillBatch(dst []Request) int {
-	s := ss.snap
-	n := s.n - ss.pos
-	if n <= 0 {
-		return 0
-	}
-	if n > len(dst) {
-		n = len(dst)
-	}
-	base := ss.pos
-	// Hoist the column slices so the per-request body indexes with
-	// compiler-visible bounds. Addr reads go through the little-endian
-	// byte column: byte-aligned loads, safe on mapped memory under the
-	// race detector's checkptr.
-	addrs := s.addrs[8*base : 8*(base+n)]
-	cores := s.cores[base : base+n]
-	writes := s.writes
-	if ss.times != nil {
-		// Decoded time column bound: the batch is pure column reads.
-		ts := ss.times[base : base+n]
-		for i := 0; i < n; i++ {
-			p := base + i
-			dst[i] = Request{
-				Addr:  binary.LittleEndian.Uint64(addrs[8*i:]),
-				Time:  ts[i],
-				Write: writes[p>>3]>>(uint(p)&7)&1 != 0,
-				Core:  cores[i],
-			}
-		}
-		ss.pos = base + n
-		return n
-	}
-	// Varint path: the same inlined delta decode Next uses.
-	times := s.times
-	off, now := ss.off, ss.now
-	for i := 0; i < n; i++ {
-		var delta uint64
-		var shift uint
-		for {
-			b := times[off]
-			off++
-			delta |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				break
-			}
-			shift += 7
-		}
-		now += clock.Time(delta)
-		p := base + i
-		dst[i] = Request{
-			Addr:  binary.LittleEndian.Uint64(addrs[8*i:]),
-			Time:  now,
-			Write: writes[p>>3]>>(uint(p)&7)&1 != 0,
-			Core:  cores[i],
-		}
-	}
-	ss.pos, ss.off, ss.now = base+n, off, now
-	return n
 }
 
 // Snapshot file format (the -trace-in/-trace-out persistence of

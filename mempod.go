@@ -113,12 +113,6 @@ type Options struct {
 	// Window caps outstanding requests (default sim.DefaultWindow;
 	// negative = unlimited).
 	Window int
-	// PodShards selects the pod-parallel simulation path for mechanisms
-	// that support it (MemPod): 0 is auto (one worker per spare CPU, off
-	// below two), 1 or negative forces the serial path, >= 2 forces that
-	// worker count (capped at the pod count). Results are bit-identical
-	// for every value.
-	PodShards int
 	// Results, when non-nil, memoizes the run: if the cache holds this
 	// exact cell (same mechanism config, specs, layout, window and trace
 	// identity — see ResultCache), the stored result is returned without
@@ -200,11 +194,13 @@ func (o Options) layout() addr.Layout {
 	return addr.DefaultLayout()
 }
 
-// runStream builds the memory system and mechanism selected by o and
-// drives the stream through it. Every entry point — generated workloads,
-// custom definitions, recorded trace replays — funnels through here, via
-// cachedRun when the run is memoizable.
-func runStream(name string, s trace.Stream, o Options) (Result, error) {
+// runSnapshot builds the memory system and mechanism selected by o and
+// replays the snapshot through it, over the snapshot's decoded columns
+// for the run's layout — the same path every experiment cell takes. Every
+// entry point — generated workloads, custom definitions, recorded trace
+// replays — funnels through here, via cachedRun when the run is
+// memoizable.
+func runSnapshot(name string, snap *trace.Snapshot, o Options) (Result, error) {
 	fast, slow, err := o.specs()
 	if err != nil {
 		return Result{}, err
@@ -223,14 +219,15 @@ func runStream(name string, s trace.Stream, o Options) (Result, error) {
 	defer mech.Release(m)
 	engine := sim.New(backend, m)
 	engine.Window = o.Window
-	engine.Shards = o.PodShards
-	if ss, ok := s.(*trace.SnapshotStream); ok {
-		// Snapshot replays (RunTrace, -compare) take the engine's batched
-		// path; binding the snapshot's predecode plane for this layout lets
-		// the mechanism skip per-request address decomposition too.
-		ss.BindPlane(ss.Snapshot().Plane(&backend.Geom))
-	}
-	return engine.Run(name, s)
+	return engine.Run(name, snap.DecodedStream(&backend.Geom))
+}
+
+// runGenerated records a generated stream of o.Requests requests and
+// replays the recording, releasing it afterwards.
+func runGenerated(name string, s trace.Stream, o Options) (Result, error) {
+	snap := trace.Record(s, o.Requests)
+	defer snap.Release()
+	return runSnapshot(name, snap, o)
 }
 
 // Run simulates one workload under one mechanism and returns its metrics.
@@ -250,7 +247,7 @@ func Run(workloadName string, o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		return runStream(w.Name, s, o)
+		return runGenerated(w.Name, s, o)
 	})
 }
 
@@ -267,7 +264,7 @@ func RunCustom(def io.Reader, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runStream(w.Name, s, o)
+	return runGenerated(w.Name, s, o)
 }
 
 // Trace is a recorded workload trace in the packed snapshot form: generate
@@ -381,7 +378,7 @@ func (t *Trace) Close() {
 func RunTrace(t *Trace, o Options) (Result, error) {
 	o = o.withDefaults()
 	return cachedRun(o, traceIdentity(t, o), func() (Result, error) {
-		return runStream(t.name, t.snap.Stream(), o)
+		return runSnapshot(t.name, t.snap, o)
 	})
 }
 

@@ -165,3 +165,49 @@ func TestRunCustomWorkload(t *testing.T) {
 		t.Error("garbage definition accepted")
 	}
 }
+
+// TestFootprintInFastMemoryIsMigrationFree is a metamorphic check: libquantum's
+// footprint fits entirely in fast memory, so under every mechanism every
+// access — demand and bookkeeping alike — is served by fast memory, no
+// byte migrates, and the AMMAT equals the no-migration TLM baseline's
+// exactly. A mechanism that moved pages it did not need to, or charged a
+// cost TLM does not pay, breaks the equality.
+func TestFootprintInFastMemoryIsMigrationFree(t *testing.T) {
+	tr, err := RecordTrace("libquantum", 100_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := RunTrace(tr, Options{Mechanism: MechTLM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range Mechanisms() {
+		if m == MechDDROnly {
+			continue // a slow-memory-only reference: nothing is fast there
+		}
+		t.Run(string(m), func(t *testing.T) {
+			o := Options{Mechanism: m}
+			if m == MechHMA {
+				// mempodsim -compare's scaled HMA, so its interval
+				// machinery runs inside the trace.
+				o.HMA = HMAOptions{Interval: 10 * Millisecond, SortStall: 700 * Microsecond, MaxMigrations: 4096}
+			}
+			res, err := RunTrace(tr, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AMMAT() != base.AMMAT() || res.TotalStall != base.TotalStall {
+				t.Errorf("AMMAT %.6f ns (stall %v), want TLM's %.6f ns (stall %v)",
+					res.AMMAT(), res.TotalStall, base.AMMAT(), base.TotalStall)
+			}
+			if res.Mig.BytesMoved != 0 || res.Mig.PageMigrations != 0 || res.Mig.LineMigrations != 0 {
+				t.Errorf("moved %d bytes (%d pages, %d lines), want none",
+					res.Mig.BytesMoved, res.Mig.PageMigrations, res.Mig.LineMigrations)
+			}
+			if res.SlowAccesses != 0 || res.FastAccesses < res.Requests {
+				t.Errorf("%d fast and %d slow accesses for %d requests, want all fast",
+					res.FastAccesses, res.SlowAccesses, res.Requests)
+			}
+		})
+	}
+}
