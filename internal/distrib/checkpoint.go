@@ -235,8 +235,10 @@ func (co *Coordinator) restoreCheckpoint(path string) int {
 	defer co.mu.Unlock()
 	adopted := 0
 	for _, c := range cells {
-		key, _, err := resultcache.DecodeFile(c.frame)
-		if err != nil || key != co.plan.Key(c.index) || co.states[c.index] == cellDone {
+		if co.states[c.index] == cellDone {
+			continue
+		}
+		if _, err := resultcache.VerifyFile(c.frame, co.plan.Key(c.index).Canonical()); err != nil {
 			continue
 		}
 		frame := append([]byte(nil), c.frame...) // detach from the file buffer

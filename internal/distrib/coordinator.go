@@ -244,9 +244,10 @@ func (co *Coordinator) Renew(req RenewRequest) RenewResponse {
 	return RenewResponse{OK: true}
 }
 
-// Complete merges a finished batch. Every frame is verified — checksum
-// via DecodeFile, embedded key against the plan's key for that index —
-// before acceptance, so a confused or skewed worker cannot poison the
+// Complete merges a finished batch. Every frame is verified — framing and
+// checksum, and its embedded key line byte-equal to the canonical line of
+// the plan's key for that index (resultcache.VerifyFile) — before
+// acceptance, so a confused or skewed worker cannot poison the
 // result set; unverifiable frames re-queue their cells. Verified frames
 // are accepted even when the lease has expired or is unknown (the work is
 // correct whoever's lease it rode in on); frames for cells already done
@@ -283,8 +284,7 @@ func (co *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 			}
 			continue
 		}
-		key, _, err := resultcache.DecodeFile(cell.Frame)
-		if err != nil || key != co.plan.Key(i) {
+		if _, err := resultcache.VerifyFile(cell.Frame, co.plan.Key(i).Canonical()); err != nil {
 			resp.Rejected++
 			co.rejected++
 			co.requeueLocked(i)
@@ -421,21 +421,24 @@ func (co *Coordinator) Wait(ctx context.Context) error {
 }
 
 // MergeInto installs every completed cell's payload into the cache (which
-// persists them when it has a store directory). After a finished sweep,
-// rendering the experiment tables against this cache reproduces a serial
-// run byte for byte.
+// persists them when it has a store directory), under the plan's key for
+// the cell. After a finished sweep, rendering the experiment tables
+// against this cache reproduces a serial run byte for byte.
 func (co *Coordinator) MergeInto(cache *resultcache.Cache) int {
 	co.mu.Lock()
+	var done []int
 	frames := make([][]byte, 0, co.doneCount)
 	for i, st := range co.states {
 		if st == cellDone {
+			done = append(done, i)
 			frames = append(frames, co.frames[i])
 		}
 	}
 	co.mu.Unlock()
 	merged := 0
-	for _, frame := range frames {
-		key, payload, err := resultcache.DecodeFile(frame)
+	for j, frame := range frames {
+		key := co.plan.Key(done[j])
+		payload, err := resultcache.VerifyFile(frame, key.Canonical())
 		if err != nil {
 			continue // cannot happen: frames were verified at acceptance
 		}

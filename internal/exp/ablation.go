@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mech"
 	"repro/internal/report"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 )
 
@@ -24,7 +25,7 @@ func (c Config) podSweepBuilders() ([]builder, error) {
 		return nil, err
 	}
 	builders := []builder{{
-		name: "TLM", ckey: mechKey("static", nil),
+		name: "TLM", ckey: resultcache.MechID("static", nil),
 		layout: stdLayout(), fast: fast, slow: slow,
 		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
 	}}
@@ -33,7 +34,7 @@ func (c Config) podSweepBuilders() ([]builder, error) {
 		layout.NumPods = pods
 		builders = append(builders, builder{
 			name:   fmt.Sprintf("MemPod/%dpod", pods),
-			ckey:   mechKey("mempod", core.DefaultConfig()),
+			ckey:   resultcache.MechID("mempod", core.DefaultConfig()),
 			layout: layout, fast: fast, slow: slow,
 			make: func(b *mech.Backend) mech.Mechanism {
 				return core.MustNew(core.DefaultConfig(), b)
@@ -92,10 +93,10 @@ func (c Config) trackerSweepBuilders() ([]builder, error) {
 	fcKey := func(useFC bool) string {
 		cfg := core.DefaultConfig()
 		cfg.UseFullCounters = useFC
-		return mechKey("mempod", cfg)
+		return resultcache.MechID("mempod", cfg)
 	}
 	return []builder{
-		{"TLM", mechKey("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"TLM", resultcache.MechID("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return mech.NewStatic("TLM", b)
 		}},
 		{"MemPod", fcKey(false), stdLayout(), fast, slow, mk(false)},

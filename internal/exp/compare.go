@@ -8,6 +8,7 @@ import (
 	"repro/internal/hma"
 	"repro/internal/mech"
 	"repro/internal/report"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/thm"
 )
@@ -49,7 +50,7 @@ func (c Config) fig10Builders() ([]builder, Config) {
 		}
 	}
 	builders = append(builders, builder{
-		name: "DDR-only", ckey: mechKey("static", nil),
+		name: "DDR-only", ckey: resultcache.MechID("static", nil),
 		layout: ddrOnlyLayout(), fast: fast, slow: slow,
 		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("DDR-only", b) },
 	})
@@ -160,7 +161,7 @@ func (c Config) fig9Builders() ([]builder, error) {
 		return nil, err
 	}
 	builders := []builder{{
-		name: "TLM", ckey: mechKey("static", nil),
+		name: "TLM", ckey: resultcache.MechID("static", nil),
 		layout: stdLayout(), fast: fast, slow: slow,
 		make: func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) },
 	}}
@@ -170,7 +171,11 @@ func (c Config) fig9Builders() ([]builder, error) {
 		mk   func(cacheBytes int) func(b *mech.Backend) mech.Mechanism
 	}{
 		{"MemPod",
-			func(cb int) string { cfg := core.DefaultConfig(); cfg.CacheBytes = cb; return mechKey("mempod", cfg) },
+			func(cb int) string {
+				cfg := core.DefaultConfig()
+				cfg.CacheBytes = cb
+				return resultcache.MechID("mempod", cfg)
+			},
 			func(cb int) func(b *mech.Backend) mech.Mechanism {
 				return func(b *mech.Backend) mech.Mechanism {
 					cfg := core.DefaultConfig()
@@ -179,7 +184,11 @@ func (c Config) fig9Builders() ([]builder, error) {
 				}
 			}},
 		{"THM",
-			func(cb int) string { cfg := thm.DefaultConfig(); cfg.CacheBytes = cb; return mechKey("thm", cfg) },
+			func(cb int) string {
+				cfg := thm.DefaultConfig()
+				cfg.CacheBytes = cb
+				return resultcache.MechID("thm", cfg)
+			},
 			func(cb int) func(b *mech.Backend) mech.Mechanism {
 				return func(b *mech.Backend) mech.Mechanism {
 					cfg := thm.DefaultConfig()
@@ -188,7 +197,7 @@ func (c Config) fig9Builders() ([]builder, error) {
 				}
 			}},
 		{"HMA",
-			func(cb int) string { cfg := c.hmaConfig(); cfg.CacheBytes = cb; return mechKey("hma", cfg) },
+			func(cb int) string { cfg := c.hmaConfig(); cfg.CacheBytes = cb; return resultcache.MechID("hma", cfg) },
 			func(cb int) func(b *mech.Backend) mech.Mechanism {
 				return func(b *mech.Backend) mech.Mechanism {
 					cfg := c.hmaConfig()

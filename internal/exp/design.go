@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mech"
 	"repro/internal/report"
+	"repro/internal/resultcache"
 )
 
 // Fig6Epochs and Fig6Counters define the §6.3.1 design-space sweep.
@@ -38,7 +39,7 @@ func (c Config) memPodGridBuilders(experiment string, cfgs []core.Config) ([]bui
 		mpCfg := mpCfg
 		builders[i] = builder{
 			name:   fmt.Sprintf("MemPod#%d", i),
-			ckey:   mechKey("mempod", mpCfg),
+			ckey:   resultcache.MechID("mempod", mpCfg),
 			layout: stdLayout(), fast: fast, slow: slow,
 			make: func(bk *mech.Backend) mech.Mechanism { return core.MustNew(mpCfg, bk) },
 		}

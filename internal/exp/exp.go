@@ -195,9 +195,9 @@ func (c Config) specPair(experiment string) (fast, slow dram.Spec, err error) {
 // name is the display label results carry (and may differ between
 // experiments for one mechanism — Fig6 numbers its grid points, Fig10
 // renames HBM-only); ckey is the mechanism's canonical identity for the
-// result cache, derived from the config struct that parameterizes it, so
-// equal design points hit one another's cache entries whatever an
-// experiment labels them.
+// result cache (resultcache.MechID of the config struct that
+// parameterizes it), so equal design points hit one another's cache
+// entries whatever an experiment labels them.
 type builder struct {
 	name   string
 	ckey   string
@@ -205,16 +205,6 @@ type builder struct {
 	fast   dram.Spec
 	slow   dram.Spec
 	make   func(b *mech.Backend) mech.Mechanism
-}
-
-// mechKey renders a mechanism tag plus its printed config struct as the
-// builder's canonical cache identity. Config structs are flat value types
-// whose %+v form lists every design-space parameter.
-func mechKey(tag string, cfg any) string {
-	if cfg == nil {
-		return tag
-	}
-	return tag + ":" + fmt.Sprintf("%+v", cfg)
 }
 
 // Standard layouts and specs of the evaluation.
@@ -232,22 +222,22 @@ func ddrOnlyLayout() addr.Layout {
 // memory specs: no-migration TLM, the four mechanisms, and HBM-only.
 func (c Config) baselineBuilders(fast, slow dram.Spec) []builder {
 	return []builder{
-		{"TLM", mechKey("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"TLM", resultcache.MechID("static", nil), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return mech.NewStatic("TLM", b)
 		}},
-		{"MemPod", mechKey("mempod", core.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"MemPod", resultcache.MechID("mempod", core.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return core.MustNew(core.DefaultConfig(), b)
 		}},
-		{"HMA", mechKey("hma", c.hmaConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"HMA", resultcache.MechID("hma", c.hmaConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return hma.MustNew(c.hmaConfig(), b)
 		}},
-		{"THM", mechKey("thm", thm.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"THM", resultcache.MechID("thm", thm.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return thm.MustNew(thm.DefaultConfig(), b)
 		}},
-		{"CAMEO", mechKey("cameo", cameo.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"CAMEO", resultcache.MechID("cameo", cameo.DefaultConfig()), stdLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return cameo.MustNew(cameo.DefaultConfig(), b)
 		}},
-		{"HBM-only", mechKey("static", nil), hbmOnlyLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
+		{"HBM-only", resultcache.MechID("static", nil), hbmOnlyLayout(), fast, slow, func(b *mech.Backend) mech.Mechanism {
 			return mech.NewStatic("HBM-only", b)
 		}},
 	}
@@ -289,25 +279,29 @@ func (c Config) resultCache() *resultcache.Cache {
 	return r
 }
 
-// cellKey is the complete causal identity of the (workload, builder)
-// simulation cell under this config: engine version, canonical mechanism
-// config, both memory-spec fingerprints, layout geometry, and the exact
-// generated trace (workload recipe name + length + seed). Anything that
-// could change the cell's numbers is in here; execution shape
-// (Parallelism) deliberately is not — cells are isolated, so it cannot
-// change a result.
-func (c Config) cellKey(w workload.Workload, b builder) resultcache.CellKey {
-	return resultcache.CellKey{
-		SimVersion: sim.Version,
-		Kind:       resultcache.KindResult,
-		Mech:       b.ckey,
-		FastFP:     b.fast.Fingerprint(),
-		SlowFP:     b.slow.Fingerprint(),
-		Layout:     fmt.Sprintf("%+v", b.layout),
-		Workload:   w.Name,
-		Requests:   c.Requests,
-		Seed:       c.Seed,
+// cellKeys returns the complete causal identity of every (workload,
+// builder) simulation cell under this config, workload-major like the
+// matrix's task order: engine version, canonical mechanism config, both
+// memory-spec fingerprints, layout geometry, and the exact generated
+// trace (workload recipe name + length + seed). Anything that could change
+// a cell's numbers is in here; execution shape (Parallelism) deliberately
+// is not — cells are isolated, so it cannot change a result. The builder
+// half of the key (spec fingerprints, layout print) is rendered once per
+// builder, not once per cell.
+func (c Config) cellKeys(builders []builder) []resultcache.CellKey {
+	machine := make([]resultcache.CellKey, len(builders))
+	for i, b := range builders {
+		machine[i] = resultcache.MachineKey(sim.Version, b.ckey, b.layout, b.fast, b.slow)
+		machine[i].Requests, machine[i].Seed = c.Requests, c.Seed
 	}
+	keys := make([]resultcache.CellKey, 0, len(c.Workloads)*len(builders))
+	for _, w := range c.Workloads {
+		for _, k := range machine {
+			k.Workload = w.Name
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 // traceKey identifies w's generated trace under this config. Workload
@@ -331,19 +325,19 @@ func (c Config) acquireTrace(traces *tracecache.Cache, w workload.Workload, uses
 }
 
 // run executes one (workload, builder) cell, consulting the result cache
-// when one is configured. The cached path returns without touching the
-// trace cache at all (cached cells are excluded from trace use counts by
-// matrix's probe pass); the display name is applied after the cache
-// consult, because one cached cell can serve under different labels
+// under the cell's key when one is configured. The cached path returns
+// without touching the trace cache at all (cached cells are excluded from
+// trace use counts by matrix's probe pass); the display name is applied
+// after the cache consult, because one cached cell can serve under different labels
 // (Fig6's "MemPod#7" and Fig7's "MemPod#3" may be the same design point).
-func (c Config) run(w workload.Workload, b builder, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
+func (c Config) run(w workload.Workload, b builder, key resultcache.CellKey, traces *tracecache.Cache, uses int, results *resultcache.Cache) (stats.Result, error) {
 	simulate := func() (stats.Result, error) {
 		return c.simulate(w, b, traces, uses)
 	}
 	var res stats.Result
 	var err error
 	if results != nil {
-		res, err = results.ResultCell(c.cellKey(w, b), simulate)
+		res, err = results.ResultCell(key, simulate)
 	} else {
 		res, err = simulate()
 	}
@@ -411,28 +405,24 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 	// the later lookup hits without re-reading the store) and count one
 	// trace use per distinct missing cell key. Duplicate keys inside one
 	// matrix collapse to a single use — the cache runs them single-flight,
-	// so only the first acquires the trace.
+	// so only the first acquires the trace. Each cell's key is built once,
+	// here, and handed to the cell's task.
+	keys := c.cellKeys(builders)
 	uses := make(map[tracecache.Key]int, len(c.Workloads))
-	probing := make(map[string]bool)
-	for _, w := range c.Workloads {
-		for _, b := range builders {
-			if results == nil {
-				uses[c.traceKey(w)]++
+	probing := make(map[resultcache.CellKey]bool)
+	for i, key := range keys {
+		if results != nil {
+			if probing[key] || results.Probe(key) {
 				continue
 			}
-			key := c.cellKey(w, b)
-			canon := key.Canonical()
-			if probing[canon] || results.Probe(key) {
-				continue
-			}
-			probing[canon] = true
-			uses[c.traceKey(w)]++
+			probing[key] = true
 		}
+		uses[c.traceKey(c.Workloads[i/len(builders)])]++
 	}
 	tasks := make([]runner.Task[stats.Result], 0, len(builders)*len(c.Workloads))
-	for _, w := range c.Workloads {
-		for _, b := range builders {
-			b, w := b, w
+	for wi, w := range c.Workloads {
+		for bi, b := range builders {
+			key := keys[wi*len(builders)+bi]
 			tasks = append(tasks, runner.Task[stats.Result]{
 				Key: b.name + "/" + w.Name,
 				// CPU profiles of a sweep attribute samples per cell:
@@ -440,7 +430,7 @@ func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, 
 				// workload=mix3) isolates one cell's share.
 				Labels: []string{"mechanism", b.name, "workload", w.Name},
 				Run: func() (stats.Result, error) {
-					return c.run(w, b, traces, uses[c.traceKey(w)], results)
+					return c.run(w, b, key, traces, uses[c.traceKey(w)], results)
 				},
 			})
 		}

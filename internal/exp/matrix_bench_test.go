@@ -74,6 +74,7 @@ func BenchmarkMatrixWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := c

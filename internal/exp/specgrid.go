@@ -10,6 +10,7 @@ import (
 	"repro/internal/mech"
 	"repro/internal/migrant"
 	"repro/internal/report"
+	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/thm"
 )
@@ -50,12 +51,12 @@ func (c Config) specGridBuilders() ([]builder, error) {
 				fast: fast, slow: slow, make: mk,
 			})
 		}
-		add("TLM", mechKey("static", nil), func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
-		add("MemPod", mechKey("mempod", core.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) })
-		add("HMA", mechKey("hma", c.hmaConfig()), func(b *mech.Backend) mech.Mechanism { return hma.MustNew(c.hmaConfig(), b) })
-		add("THM", mechKey("thm", thm.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return thm.MustNew(thm.DefaultConfig(), b) })
-		add("CAMEO", mechKey("cameo", cameo.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) })
-		add("Migrant", mechKey("migrant", migrant.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return migrant.MustNew(migrant.DefaultConfig(), b) })
+		add("TLM", resultcache.MechID("static", nil), func(b *mech.Backend) mech.Mechanism { return mech.NewStatic("TLM", b) })
+		add("MemPod", resultcache.MechID("mempod", core.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return core.MustNew(core.DefaultConfig(), b) })
+		add("HMA", resultcache.MechID("hma", c.hmaConfig()), func(b *mech.Backend) mech.Mechanism { return hma.MustNew(c.hmaConfig(), b) })
+		add("THM", resultcache.MechID("thm", thm.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return thm.MustNew(thm.DefaultConfig(), b) })
+		add("CAMEO", resultcache.MechID("cameo", cameo.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return cameo.MustNew(cameo.DefaultConfig(), b) })
+		add("Migrant", resultcache.MechID("migrant", migrant.DefaultConfig()), func(b *mech.Backend) mech.Mechanism { return migrant.MustNew(migrant.DefaultConfig(), b) })
 	}
 	return builders, nil
 }

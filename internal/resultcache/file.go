@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 )
 
 // MPR1 store file layout (everything little-endian), mirroring the MPS1
@@ -32,28 +31,65 @@ const (
 )
 
 // ErrBadFile reports a malformed MPR1 file. Store lookups translate it
-// into a stale miss; it surfaces only from direct DecodeFile calls.
+// into a stale miss; it surfaces only from direct DecodeFile and
+// VerifyFile calls.
 var ErrBadFile = errors.New("resultcache: malformed result file")
 
 // EncodeFile frames a canonical key and its payload as an MPR1 file.
 func EncodeFile(key CellKey, payload []byte) []byte {
-	canon := key.Canonical()
+	return encodeFile(key.Canonical(), payload)
+}
+
+// encodeFile frames an already rendered canonical key line.
+func encodeFile(canon string, payload []byte) []byte {
 	out := make([]byte, 0, len(fileMagic)+2+len(canon)+4+len(payload)+8)
 	out = append(out, fileMagic...)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(canon)))
 	out = append(out, canon...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
 	out = append(out, payload...)
-	h := fnv.New64a()
-	h.Write([]byte(canon))
-	h.Write(payload)
-	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+	return binary.LittleEndian.AppendUint64(out, fnv64a(fnv64a(fnvOffset, canon), payload))
 }
 
 // DecodeFile parses an MPR1 file into its key and payload. The returned
 // payload aliases b. Errors wrap ErrBadFile and name the offset that
 // failed, like the trace readers.
 func DecodeFile(b []byte) (CellKey, []byte, error) {
+	canon, payload, err := splitFile(b)
+	if err != nil {
+		return CellKey{}, nil, err
+	}
+	key, err := ParseKey(string(canon))
+	if err != nil {
+		return CellKey{}, nil, fmt.Errorf("%w: %w", ErrBadFile, err)
+	}
+	if key.Canonical() != string(canon) {
+		return CellKey{}, nil, fmt.Errorf("%w: key round-trip mismatch", ErrBadFile)
+	}
+	return key, payload, nil
+}
+
+// VerifyFile checks that b is a complete, checksummed MPR1 file whose
+// embedded key line is exactly canon (a CellKey.Canonical rendering) and
+// returns its payload, aliasing b. It accepts exactly the files DecodeFile
+// accepts with a key rendering to canon — ParseKey(k.Canonical()) == k for
+// every key, so comparing the key bytes is the same test as parsing the
+// embedded key and comparing structs — without parsing anything. Store
+// reads and distributed frame checks go through here.
+func VerifyFile(b []byte, canon string) ([]byte, error) {
+	embedded, payload, err := splitFile(b)
+	if err != nil {
+		return nil, err
+	}
+	if string(embedded) != canon {
+		return nil, fmt.Errorf("%w: embedded key differs from the requested key", ErrBadFile)
+	}
+	return payload, nil
+}
+
+// splitFile checks an MPR1 file's framing and checksum and returns the
+// embedded key line and the payload, both aliasing b.
+func splitFile(b []byte) (canon, payload []byte, err error) {
 	off := 0
 	need := func(n int, what string) error {
 		if len(b)-off < n {
@@ -63,58 +99,48 @@ func DecodeFile(b []byte) (CellKey, []byte, error) {
 		return nil
 	}
 	if err := need(len(fileMagic), "magic"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	if string(b[:len(fileMagic)]) != fileMagic {
-		return CellKey{}, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrBadFile, b[:len(fileMagic)], fileMagic)
+		return nil, nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrBadFile, b[:len(fileMagic)], fileMagic)
 	}
 	off = len(fileMagic)
 	if err := need(2, "key length"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	keyLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if keyLen > maxKeyLen {
-		return CellKey{}, nil, fmt.Errorf("%w: key length %d exceeds %d", ErrBadFile, keyLen, maxKeyLen)
+		return nil, nil, fmt.Errorf("%w: key length %d exceeds %d", ErrBadFile, keyLen, maxKeyLen)
 	}
 	if err := need(keyLen, "key"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
-	canon := string(b[off : off+keyLen])
+	canon = b[off : off+keyLen]
 	off += keyLen
 	if err := need(4, "payload length"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	payLen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if payLen > maxPayloadLen {
-		return CellKey{}, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFile, payLen, maxPayloadLen)
+		return nil, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFile, payLen, maxPayloadLen)
 	}
 	if err := need(payLen, "payload"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
-	payload := b[off : off+payLen]
+	payload = b[off : off+payLen]
 	off += payLen
 	if err := need(8, "checksum"); err != nil {
-		return CellKey{}, nil, err
+		return nil, nil, err
 	}
 	sum := binary.LittleEndian.Uint64(b[off:])
 	off += 8
 	if off != len(b) {
-		return CellKey{}, nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrBadFile, len(b)-off, off)
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrBadFile, len(b)-off, off)
 	}
-	h := fnv.New64a()
-	h.Write([]byte(canon))
-	h.Write(payload)
-	if got := h.Sum64(); got != sum {
-		return CellKey{}, nil, fmt.Errorf("%w: checksum %016x, want %016x", ErrBadFile, got, sum)
+	if got := fnv64a(fnv64a(fnvOffset, canon), payload); got != sum {
+		return nil, nil, fmt.Errorf("%w: checksum %016x, want %016x", ErrBadFile, got, sum)
 	}
-	key, err := ParseKey(canon)
-	if err != nil {
-		return CellKey{}, nil, fmt.Errorf("%w: %w", ErrBadFile, err)
-	}
-	if key.Canonical() != canon {
-		return CellKey{}, nil, fmt.Errorf("%w: key round-trip mismatch", ErrBadFile)
-	}
-	return key, payload, nil
+	return canon, payload, nil
 }

@@ -2,10 +2,12 @@ package resultcache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"strconv"
 	"strings"
+
+	"repro/internal/addr"
+	"repro/internal/dram"
 )
 
 // Record kinds. The kind names the payload codec and carries its version:
@@ -62,23 +64,90 @@ type CellKey struct {
 const keyFormat = "k1"
 
 // Canonical renders the key as one line of space-separated name=value
-// fields in fixed order, with free-form values path-escaped so they can
-// never contain a space or newline. Equal keys have equal canonical forms
-// and vice versa; the canonical form is what files store and fingerprints
-// hash.
+// fields in fixed order, with free-form values path-escaped
+// (url.PathEscape) so they can never contain a space or newline. Equal
+// keys have equal canonical forms and vice versa; the canonical form is
+// what files store and fingerprints hash.
+//
+// The canonical bytes and the fingerprint derived from them are part of
+// the store format: any change to either must bump keyFormat, or existing
+// stores turn into silent misses.
 func (k CellKey) Canonical() string {
-	var b strings.Builder
-	b.Grow(128 + len(k.Mech) + len(k.Layout) + len(k.Workload))
-	b.WriteString(keyFormat)
-	fmt.Fprintf(&b, " sim=%d", k.SimVersion)
-	b.WriteString(" kind=" + url.PathEscape(k.Kind))
-	b.WriteString(" mech=" + url.PathEscape(k.Mech))
-	fmt.Fprintf(&b, " fast=%016x slow=%016x", k.FastFP, k.SlowFP)
-	b.WriteString(" layout=" + url.PathEscape(k.Layout))
-	b.WriteString(" wl=" + url.PathEscape(k.Workload))
-	fmt.Fprintf(&b, " req=%d seed=%d trace=%016x win=%d",
-		k.Requests, k.Seed, k.TraceFP, k.Window)
-	return b.String()
+	var buf [keyBufLen]byte
+	return string(k.appendCanonical(buf[:0]))
+}
+
+// keyBufLen sizes the stack buffer keys render into: the escaped config
+// and layout strings make a simulation cell's line about 400 bytes.
+const keyBufLen = 512
+
+// appendCanonical appends the canonical line to b. It is the only
+// renderer; Canonical and Fingerprint wrap it.
+func (k CellKey) appendCanonical(b []byte) []byte {
+	b = append(b, keyFormat+" sim="...)
+	b = strconv.AppendInt(b, int64(k.SimVersion), 10)
+	b = append(b, " kind="...)
+	b = appendEscaped(b, k.Kind)
+	b = append(b, " mech="...)
+	b = appendEscaped(b, k.Mech)
+	b = append(b, " fast="...)
+	b = appendHex16(b, k.FastFP)
+	b = append(b, " slow="...)
+	b = appendHex16(b, k.SlowFP)
+	b = append(b, " layout="...)
+	b = appendEscaped(b, k.Layout)
+	b = append(b, " wl="...)
+	b = appendEscaped(b, k.Workload)
+	b = append(b, " req="...)
+	b = strconv.AppendInt(b, int64(k.Requests), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, k.Seed, 10)
+	b = append(b, " trace="...)
+	b = appendHex16(b, k.TraceFP)
+	b = append(b, " win="...)
+	return strconv.AppendInt(b, int64(k.Window), 10)
+}
+
+// mustEscape marks the bytes url.PathEscape rewrites. PathEscape works
+// byte by byte, so deriving the table from it keeps appendEscaped
+// byte-identical to the library encoder.
+var mustEscape = func() (t [256]bool) {
+	for i := range t {
+		s := string([]byte{byte(i)})
+		t[i] = url.PathEscape(s) != s
+	}
+	return t
+}()
+
+// appendEscaped appends url.PathEscape(s) to b without building the
+// intermediate string: values with nothing to escape are copied as is.
+func appendEscaped(b []byte, s string) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; mustEscape[c] {
+			b = append(b, s[:i]...)
+			for ; i < len(s); i++ {
+				if c = s[i]; mustEscape[c] {
+					b = append(b, '%', upperHex[c>>4], upperHex[c&0xf])
+				} else {
+					b = append(b, c)
+				}
+			}
+			return b
+		}
+	}
+	return append(b, s...)
+}
+
+// appendHex16 appends v as 16 zero-padded lowercase hex digits (%016x).
+func appendHex16(b []byte, v uint64) []byte {
+	const hex = "0123456789abcdef"
+	var d [16]byte
+	for i := 15; i >= 0; i-- {
+		d[i] = hex[v&0xf]
+		v >>= 4
+	}
+	return append(b, d[:]...)
 }
 
 // Fingerprint returns the FNV-1a hash of the canonical form. It names the
@@ -86,9 +155,23 @@ func (k CellKey) Canonical() string {
 // is what authenticates an entry, so a fingerprint collision degrades to
 // two keys alternately overwriting one file, never to a wrong hit.
 func (k CellKey) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.Canonical()))
-	return h.Sum64()
+	var buf [keyBufLen]byte
+	return fnv64a(fnvOffset, k.appendCanonical(buf[:0]))
+}
+
+// FNV-1a, inlined so hashing a rendered key or a frame allocates nothing
+// (hash/fnv's interface value escapes). The values equal hash/fnv's New64a.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnv64a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // keyFields are the canonical field names in canonical order.
@@ -167,4 +250,32 @@ func parseEscaped(v string) (string, error) {
 		return "", fmt.Errorf("non-canonical escaping %q", v)
 	}
 	return s, nil
+}
+
+// MechID renders a mechanism's canonical identity for CellKey.Mech: its
+// short tag, followed by ":" and the printed config struct when the
+// mechanism is parameterized. Config structs are flat value types whose
+// %+v form lists every design-space parameter.
+func MechID(tag string, cfg any) string {
+	if cfg == nil {
+		return tag
+	}
+	return tag + ":" + fmt.Sprintf("%+v", cfg)
+}
+
+// MachineKey returns the KindResult key fields a simulated machine
+// contributes: the mechanism identity (a MechID), both memory-spec
+// fingerprints and the printed layout geometry. It is the one place these
+// are rendered; callers add the engine version and the trace fields. The
+// spec fingerprints and the layout print are the expensive part of a key,
+// so callers running many cells on one machine build this once.
+func MachineKey(simVersion int, mechID string, layout addr.Layout, fast, slow dram.Spec) CellKey {
+	return CellKey{
+		SimVersion: simVersion,
+		Kind:       KindResult,
+		Mech:       mechID,
+		FastFP:     fast.Fingerprint(),
+		SlowFP:     slow.Fingerprint(),
+		Layout:     fmt.Sprintf("%+v", layout),
+	}
 }

@@ -44,7 +44,7 @@ type Stats struct {
 // value is not usable; call New. All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*entry // by canonical key
+	entries map[CellKey]*entry
 	stats   Stats
 	dir     string
 }
@@ -57,7 +57,7 @@ type entry struct {
 
 // New returns an empty in-memory cache.
 func New() *Cache {
-	return &Cache{entries: make(map[string]*entry)}
+	return &Cache{entries: make(map[CellKey]*entry)}
 }
 
 // SetDir enables the disk store rooted at dir (which must exist). Each
@@ -78,54 +78,47 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// storePath is the store filename for a key. Distinct keys can collide on
-// a fingerprint in principle; the embedded canonical key disambiguates at
-// read time (a mismatch is a stale miss, never a wrong hit).
-func (c *Cache) storePath(dir string, key CellKey) string {
-	return filepath.Join(dir, filepathName(key))
+// The public methods below render a key's canonical line (canon) only when
+// they touch the store, and then once: resident entries are found by the
+// comparable CellKey itself, and the store path, the read-side check and
+// the written frame all reuse that one rendering. ResultCell's heal path
+// for an undecodable entry is the one place that renders a second time.
+
+// storePath is the store filename for a canonical key line: its
+// fingerprint in hex. Distinct keys can collide on a fingerprint in
+// principle; the embedded canonical key disambiguates at read time (a
+// mismatch is a stale miss, never a wrong hit).
+func (c *Cache) storePath(dir, canon string) string {
+	name := appendHex16(make([]byte, 0, 16+len(".mpr1")), fnv64a(fnvOffset, canon))
+	return filepath.Join(dir, string(append(name, ".mpr1"...)))
 }
 
-func filepathName(key CellKey) string {
-	const hex = "0123456789abcdef"
-	fp := key.Fingerprint()
-	name := make([]byte, 16, 16+5)
-	for i := 15; i >= 0; i-- {
-		name[i] = hex[fp&0xf]
-		fp >>= 4
-	}
-	return string(append(name, ".mpr1"...))
-}
-
-// loadStored tries the store file for key. It returns the payload and
-// true only for a complete, checksummed file whose embedded canonical key
-// matches exactly — anything else (absent, truncated, corrupt, different
-// sim version, fingerprint-colliding neighbor) counts Stale when file
-// bytes existed and reports a miss.
-func (c *Cache) loadStored(dir string, key CellKey) ([]byte, bool) {
-	b, err := os.ReadFile(c.storePath(dir, key))
+// loadStored tries the store file for a canonical key line. It returns the
+// payload and true only for a complete, checksummed file whose embedded
+// key line equals canon byte for byte — anything else (absent, truncated,
+// corrupt, different sim version, fingerprint-colliding neighbor) counts
+// Stale when file bytes existed and reports a miss.
+func (c *Cache) loadStored(dir, canon string) ([]byte, bool) {
+	b, err := os.ReadFile(c.storePath(dir, canon))
 	if err != nil {
 		return nil, false
 	}
+	payload, err := VerifyFile(b, canon)
 	c.mu.Lock()
 	c.stats.BytesRead += int64(len(b))
-	c.mu.Unlock()
-	stored, payload, err := DecodeFile(b)
-	if err != nil || stored != key {
-		c.mu.Lock()
+	if err != nil {
 		c.stats.Stale++
-		c.mu.Unlock()
-		return nil, false
+	} else {
+		c.stats.DiskLoads++
 	}
-	c.mu.Lock()
-	c.stats.DiskLoads++
 	c.mu.Unlock()
-	return payload, true
+	return payload, err == nil
 }
 
 // persist writes the framed entry atomically next to its final name.
-func (c *Cache) persist(dir string, key CellKey, payload []byte) {
-	framed := EncodeFile(key, payload)
-	path := c.storePath(dir, key)
+func (c *Cache) persist(dir, canon string, payload []byte) {
+	framed := encodeFile(canon, payload)
+	path := c.storePath(dir, canon)
 	tmp, err := os.CreateTemp(dir, ".mpr-*")
 	if err != nil {
 		return
@@ -154,30 +147,38 @@ func (c *Cache) persist(dir string, key CellKey, payload []byte) {
 // work — the experiment matrix probes every cell first so trace-snapshot
 // use counts cover exactly the cells that will simulate.
 func (c *Cache) Probe(key CellKey) bool {
-	canon := key.Canonical()
 	c.mu.Lock()
-	_, ok := c.entries[canon]
+	_, ok := c.entries[key]
 	dir := c.dir
 	c.mu.Unlock()
 	if ok {
 		return true
 	}
+	_, ok = c.pinStored(dir, key)
+	return ok
+}
+
+// pinStored loads key's store file and pins it resident. When another
+// goroutine raced an entry in meanwhile, that first entry is kept and
+// returned instead.
+func (c *Cache) pinStored(dir string, key CellKey) (*entry, bool) {
 	if dir == "" {
-		return false
+		return nil, false
 	}
-	payload, ok := c.loadStored(dir, key)
+	payload, ok := c.loadStored(dir, key.Canonical())
 	if !ok {
-		return false
+		return nil, false
 	}
 	e := &entry{ready: make(chan struct{}), payload: payload}
 	close(e.ready)
 	c.mu.Lock()
-	// Another goroutine may have raced an entry in; keep the first.
-	if _, exists := c.entries[canon]; !exists {
-		c.entries[canon] = e
+	if prev, exists := c.entries[key]; exists {
+		e = prev
+	} else {
+		c.entries[key] = e
 	}
 	c.mu.Unlock()
-	return true
+	return e, true
 }
 
 // GetOrRun returns key's payload, serving it from memory or the disk
@@ -187,22 +188,23 @@ func (c *Cache) Probe(key CellKey) bool {
 // run fails, every waiter receives the error and the entry is forgotten,
 // so a later call retries.
 func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error) {
-	canon := key.Canonical()
 	c.mu.Lock()
-	if e, ok := c.entries[canon]; ok {
+	if e, ok := c.entries[key]; ok {
 		c.stats.Hits++
 		c.mu.Unlock()
 		<-e.ready
 		return e.payload, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
-	c.entries[canon] = e
+	c.entries[key] = e
 	dir := c.dir
 	c.mu.Unlock()
 
+	var canon string
 	payload, fromDisk := []byte(nil), false
 	if dir != "" {
-		payload, fromDisk = c.loadStored(dir, key)
+		canon = key.Canonical()
+		payload, fromDisk = c.loadStored(dir, canon)
 	}
 	var err error
 	if !fromDisk {
@@ -216,7 +218,7 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error
 	}
 	e.payload, e.err = payload, err
 	if err != nil {
-		delete(c.entries, canon)
+		delete(c.entries, key)
 	}
 	c.mu.Unlock()
 	close(e.ready)
@@ -224,7 +226,7 @@ func (c *Cache) GetOrRun(key CellKey, run func() ([]byte, error)) ([]byte, error
 		return nil, err
 	}
 	if !fromDisk && dir != "" {
-		c.persist(dir, key, payload)
+		c.persist(dir, canon, payload)
 	}
 	return payload, nil
 }
@@ -253,13 +255,13 @@ func (c *Cache) ResultCell(key CellKey, run func() (stats.Result, error)) (stats
 	// Undecodable resident entry: evict and recompute once, bypassing the
 	// poisoned bytes, and heal the store with the fresh result.
 	c.mu.Lock()
-	delete(c.entries, key.Canonical())
+	delete(c.entries, key)
 	c.stats.Stale++
 	dir := c.dir
 	c.mu.Unlock()
 	r, err = run()
 	if err == nil && dir != "" {
-		c.persist(dir, key, EncodeResult(r))
+		c.persist(dir, key.Canonical(), EncodeResult(r))
 	}
 	return r, err
 }
@@ -272,19 +274,18 @@ func (c *Cache) ResultCell(key CellKey, run func() (stats.Result, error)) (stats
 // responsible for the payload's integrity; transport layers verify the
 // MPR1 frame checksum and key before handing payloads to Put.
 func (c *Cache) Put(key CellKey, payload []byte) {
-	canon := key.Canonical()
 	c.mu.Lock()
-	if _, ok := c.entries[canon]; ok {
+	if _, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		return
 	}
 	e := &entry{ready: make(chan struct{}), payload: payload}
 	close(e.ready)
-	c.entries[canon] = e
+	c.entries[key] = e
 	dir := c.dir
 	c.mu.Unlock()
 	if dir != "" {
-		c.persist(dir, key, payload)
+		c.persist(dir, key.Canonical(), payload)
 	}
 }
 
@@ -295,37 +296,15 @@ func (c *Cache) Put(key CellKey, payload []byte) {
 // counted; coordinators use it to adopt prior results without perturbing
 // the run's own statistics.
 func (c *Cache) Lookup(key CellKey) ([]byte, bool) {
-	canon := key.Canonical()
 	c.mu.Lock()
-	e, ok := c.entries[canon]
+	e, ok := c.entries[key]
 	dir := c.dir
 	c.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				return e.payload, true
-			}
-		default:
-		}
-		return nil, false
-	}
-	if dir == "" {
-		return nil, false
-	}
-	payload, ok := c.loadStored(dir, key)
 	if !ok {
-		return nil, false
+		if e, ok = c.pinStored(dir, key); !ok {
+			return nil, false
+		}
 	}
-	e = &entry{ready: make(chan struct{}), payload: payload}
-	close(e.ready)
-	c.mu.Lock()
-	if prev, exists := c.entries[canon]; exists {
-		e = prev
-	} else {
-		c.entries[canon] = e
-	}
-	c.mu.Unlock()
 	select {
 	case <-e.ready:
 		if e.err == nil {

@@ -324,7 +324,7 @@ func TestCacheStaleness(t *testing.T) {
 	// embedded key mismatch must reject it (counted Stale).
 	victim := base
 	victim.Workload = "mix6"
-	if err := os.Rename(c.storePath(dir, base), c.storePath(dir, victim)); err != nil {
+	if err := os.Rename(c.storePath(dir, base.Canonical()), c.storePath(dir, victim.Canonical())); err != nil {
 		t.Fatal(err)
 	}
 	c2 := New()
@@ -358,7 +358,7 @@ func TestCacheCorruptionRegenerates(t *testing.T) {
 			if _, err := seed.ResultCell(key, func() (stats.Result, error) { return testResult(), nil }); err != nil {
 				t.Fatal(err)
 			}
-			path := seed.storePath(dir, key)
+			path := seed.storePath(dir, key.Canonical())
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -413,7 +413,7 @@ func TestCacheProbePinsDiskEntries(t *testing.T) {
 	}
 	// Deleting the file after a successful probe must not matter: the
 	// probe pinned the entry, so GetOrRun is guaranteed to hit.
-	if err := os.Remove(c.storePath(dir, key)); err != nil {
+	if err := os.Remove(c.storePath(dir, key.Canonical())); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.ResultCell(key, func() (stats.Result, error) {
@@ -448,7 +448,7 @@ func TestCacheReadOnlyStoreStillWorks(t *testing.T) {
 func TestStorePathNames(t *testing.T) {
 	c := New()
 	key := testKey()
-	path := c.storePath("store", key)
+	path := c.storePath("store", key.Canonical())
 	want := filepath.Join("store", fmt.Sprintf("%016x.mpr1", key.Fingerprint()))
 	if path != want {
 		t.Fatalf("storePath = %q, want %q", path, want)

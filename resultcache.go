@@ -95,23 +95,10 @@ func (o Options) cellKey(id cellIdentity) (resultcache.CellKey, error) {
 	if err != nil {
 		return resultcache.CellKey{}, err
 	}
-	mechID := tag
-	if cfg != nil {
-		mechID = fmt.Sprintf("%s:%+v", tag, cfg)
-	}
-	return resultcache.CellKey{
-		SimVersion: sim.Version,
-		Kind:       resultcache.KindResult,
-		Mech:       mechID,
-		FastFP:     fast.Fingerprint(),
-		SlowFP:     slow.Fingerprint(),
-		Layout:     fmt.Sprintf("%+v", o.layout()),
-		Workload:   id.workload,
-		Requests:   id.requests,
-		Seed:       id.seed,
-		TraceFP:    id.traceFP,
-		Window:     o.Window,
-	}, nil
+	key := resultcache.MachineKey(sim.Version, resultcache.MechID(tag, cfg), o.layout(), fast, slow)
+	key.Workload, key.Requests, key.Seed = id.workload, id.requests, id.seed
+	key.TraceFP, key.Window = id.traceFP, o.Window
+	return key, nil
 }
 
 // cachedRun consults o.Results around simulate when the run is cacheable,
