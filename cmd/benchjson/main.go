@@ -10,6 +10,9 @@
 //
 // Non-benchmark lines (test framework chatter, PASS/ok trailers) are
 // ignored, so the raw `go test` stream can be piped in unfiltered.
+// Rows repeated by `go test -count N` fold into one row per benchmark:
+// each metric is the median of the runs, and the row keeps the ns/op
+// min and max (see Fold).
 //
 // The -diff mode compares two archived reports: for every benchmark
 // present in both, it prints the ns/op delta and exits non-zero when any
@@ -38,6 +41,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -57,6 +61,11 @@ type Benchmark struct {
 	// Metrics maps unit to value: "ns/op", "B/op", "allocs/op", plus any
 	// custom b.ReportMetric units.
 	Metrics map[string]float64 `json:"metrics"`
+	// Runs is the number of result lines folded into this row (Fold);
+	// NsMin and NsMax are their ns/op extremes. Zero in an unfolded row.
+	Runs  int     `json:"runs,omitempty"`
+	NsMin float64 `json:"ns_min,omitempty"`
+	NsMax float64 `json:"ns_max,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -92,6 +101,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	Fold(rep)
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines in input"))
 	}
@@ -151,6 +161,53 @@ func Parse(r io.Reader) (*Report, error) {
 		}
 	}
 	return rep, sc.Err()
+}
+
+// Fold merges the rows of each benchmark (same pkg, name and procs), as
+// `go test -count N` prints them, into one row at the position of its
+// first: every metric becomes the median of the runs that report it
+// (the mean of the middle two for an even count), Iterations sums b.N,
+// Runs counts the rows, and NsMin/NsMax keep the ns/op spread.
+func Fold(rep *Report) {
+	var order []benchKey
+	runs := map[benchKey][]Benchmark{}
+	for _, b := range rep.Benchmarks {
+		k := benchKey{b.Pkg, b.Name, b.Procs}
+		if _, seen := runs[k]; !seen {
+			order = append(order, k)
+		}
+		runs[k] = append(runs[k], b)
+	}
+	folded := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		rs := runs[k]
+		row := Benchmark{Pkg: k.Pkg, Name: k.Name, Procs: k.Procs, Runs: len(rs), Metrics: map[string]float64{}}
+		values := map[string][]float64{}
+		for _, r := range rs {
+			row.Iterations += r.Iterations
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		for unit, vs := range values {
+			slices.Sort(vs)
+			row.Metrics[unit] = median(vs)
+		}
+		if ns := values["ns/op"]; len(ns) > 0 {
+			row.NsMin, row.NsMax = ns[0], ns[len(ns)-1]
+		}
+		folded = append(folded, row)
+	}
+	rep.Benchmarks = folded
+}
+
+// median returns the median of sorted, non-empty vs.
+func median(vs []float64) float64 {
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseLine parses one result line of the form

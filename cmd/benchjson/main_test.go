@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -381,5 +382,75 @@ func TestDiffProcsMismatch(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "procs-mismatch BenchmarkReplay") || !strings.Contains(out.String(), "ok   BenchmarkMatrix/j=1") {
 		t.Errorf("unexpected diff output:\n%s", out.String())
+	}
+}
+
+// TestFold pins how rows repeated by -count fold into one: the median of
+// each metric, summed iterations, the run count and the ns/op spread.
+func TestFold(t *testing.T) {
+	row := func(pkg, name string, procs int, iters int64, metrics map[string]float64) Benchmark {
+		return Benchmark{Pkg: pkg, Name: name, Procs: procs, Iterations: iters, Metrics: metrics}
+	}
+	ns := func(v float64) map[string]float64 { return map[string]float64{"ns/op": v} }
+	cases := []struct {
+		name string
+		in   []Benchmark
+		want []Benchmark
+	}{
+		{
+			"single row",
+			[]Benchmark{row("p", "BenchmarkA", 1, 10, ns(5))},
+			[]Benchmark{{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 10, Metrics: ns(5), Runs: 1, NsMin: 5, NsMax: 5}},
+		},
+		{
+			"odd count takes the middle run",
+			[]Benchmark{
+				row("p", "BenchmarkA", 1, 3, ns(40)),
+				row("p", "BenchmarkA", 1, 3, ns(10)),
+				row("p", "BenchmarkA", 1, 4, ns(30)),
+				row("p", "BenchmarkA", 1, 3, ns(50)),
+				row("p", "BenchmarkA", 1, 3, ns(20)),
+			},
+			[]Benchmark{{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 16, Metrics: ns(30), Runs: 5, NsMin: 10, NsMax: 50}},
+		},
+		{
+			"even count averages the middle two, per metric",
+			[]Benchmark{
+				row("p", "BenchmarkA", 1, 1, map[string]float64{"ns/op": 10, "allocs/op": 2}),
+				row("p", "BenchmarkA", 1, 1, map[string]float64{"ns/op": 40, "allocs/op": 2}),
+				row("p", "BenchmarkA", 1, 1, map[string]float64{"ns/op": 20, "allocs/op": 4}),
+				row("p", "BenchmarkA", 1, 1, map[string]float64{"ns/op": 30, "allocs/op": 4}),
+			},
+			[]Benchmark{{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 4,
+				Metrics: map[string]float64{"ns/op": 25, "allocs/op": 3}, Runs: 4, NsMin: 10, NsMax: 40}},
+		},
+		{
+			"procs and package keep rows apart, in first-seen order",
+			[]Benchmark{
+				row("p", "BenchmarkA", 2, 1, ns(7)),
+				row("p", "BenchmarkA", 1, 1, ns(5)),
+				row("q", "BenchmarkA", 1, 1, ns(9)),
+				row("p", "BenchmarkA", 2, 1, ns(9)),
+			},
+			[]Benchmark{
+				{Pkg: "p", Name: "BenchmarkA", Procs: 2, Iterations: 2, Metrics: ns(8), Runs: 2, NsMin: 7, NsMax: 9},
+				{Pkg: "p", Name: "BenchmarkA", Procs: 1, Iterations: 1, Metrics: ns(5), Runs: 1, NsMin: 5, NsMax: 5},
+				{Pkg: "q", Name: "BenchmarkA", Procs: 1, Iterations: 1, Metrics: ns(9), Runs: 1, NsMin: 9, NsMax: 9},
+			},
+		},
+		{
+			"a row without ns/op keeps no spread",
+			[]Benchmark{row("p", "BenchmarkC", 1, 1, map[string]float64{"cells/s": 3})},
+			[]Benchmark{{Pkg: "p", Name: "BenchmarkC", Procs: 1, Iterations: 1, Metrics: map[string]float64{"cells/s": 3}, Runs: 1}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := &Report{Benchmarks: tc.in}
+			Fold(rep)
+			if !reflect.DeepEqual(rep.Benchmarks, tc.want) {
+				t.Fatalf("folded\n%+v\nwant\n%+v", rep.Benchmarks, tc.want)
+			}
+		})
 	}
 }

@@ -241,12 +241,8 @@ func resolveTrace(traceIn, traceOut string, compare bool, wl, customPath string,
 		if tr, err = mempod.OpenTrace(traceIn); err != nil {
 			return nil, err
 		}
-		how := "read"
-		if tr.Mapped() {
-			how = "mapped"
-		}
-		fmt.Fprintf(os.Stderr, "mempodsim: replaying %s (%d requests, %.1f MB packed, %s) from %s\n",
-			tr.Name(), tr.Requests(), float64(tr.Size())/(1<<20), how, traceIn)
+		fmt.Fprintf(os.Stderr, "mempodsim: replaying %s (%d requests, %.1f MB packed) from %s\n",
+			tr.Name(), tr.Requests(), float64(tr.Size())/(1<<20), traceIn)
 	case traceOut != "" || compare:
 		var err error
 		if customPath != "" {

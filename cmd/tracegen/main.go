@@ -1,15 +1,18 @@
 // Command tracegen generates a workload's synthetic memory trace and
-// writes it in the binary trace format, inspects an existing trace file,
-// or characterizes a workload without writing anything.
+// writes it as an MPS1 snapshot file, inspects an existing snapshot file,
+// or characterizes a workload without writing anything. Its output
+// replays under `mempodsim -trace-in`.
 //
 // Usage:
 //
-//	tracegen -workload mix5 -requests 1000000 -out mix5.trace
-//	tracegen -inspect mix5.trace
+//	tracegen -workload mix5 -requests 1000000 -out mix5.mps1
+//	tracegen -inspect mix5.mps1
+//	mempodsim -trace-in mix5.mps1 -mech MemPod
 //	tracegen -workload lbm -analyze
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +27,7 @@ func main() {
 		wl       = flag.String("workload", "mix1", "workload name")
 		requests = flag.Int("requests", 1_000_000, "trace length")
 		seed     = flag.Int64("seed", 42, "trace seed")
-		out      = flag.String("out", "", "output file (default <workload>.trace)")
+		out      = flag.String("out", "", "output file (default <workload>.mps1)")
 		inspect  = flag.String("inspect", "", "inspect an existing trace file and exit")
 		analyze  = flag.Bool("analyze", false, "characterize the workload's trace and exit")
 	)
@@ -87,32 +90,37 @@ func generate(name string, requests int, seed int64, out string) error {
 		return err
 	}
 	if out == "" {
-		out = name + ".trace"
+		out = name + ".mps1"
 	}
+	snap := trace.Record(s, requests)
+	defer snap.Release()
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	n, err := trace.Write(f, s)
-	if err != nil {
+	bw := bufio.NewWriter(f)
+	if err := trace.WriteSnapshot(bw, name, snap); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %d requests to %s\n", n, out)
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d requests to %s\n", snap.Len(), out)
 	return nil
 }
 
 func inspectTrace(path string) error {
-	f, err := os.Open(path)
+	snap, _, err := trace.OpenMapped(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	s, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
-	sum, err := tracestat.Analyze(s, 0)
+	defer snap.Release()
+	sum, err := tracestat.Analyze(snap.Stream(), 0)
 	if err != nil {
 		return err
 	}

@@ -66,7 +66,7 @@ type Layout struct {
 	// size (0 selects the paper's RowBytes). Row size determines how many
 	// consecutive page slots share a row (the migration co-location
 	// effect), so it is part of the physical address map — and therefore
-	// of trace-plane and sidecar identity (see trace geomFingerprint).
+	// of trace-plane identity (trace.Snapshot.Plane keys on the Layout).
 	// memsys.New fills these from the channel specs.
 	FastRowBytes uint64
 	SlowRowBytes uint64

@@ -200,7 +200,7 @@ func TestSpecLatencyProperties(t *testing.T) {
 }
 
 // TestSpecFingerprintDistinct requires all shipped presets to have
-// pairwise distinct fingerprints — the property sidecar identity rests on.
+// pairwise distinct fingerprints — the property result-cache keys rest on.
 func TestSpecFingerprintDistinct(t *testing.T) {
 	seen := map[uint64]string{}
 	for _, s := range Presets() {

@@ -173,8 +173,7 @@ func (s Spec) Validate() error {
 
 // Fingerprint returns a stable 64-bit identity of every modelled parameter
 // (FNV-1a over the printed struct). Two specs with equal fingerprints are
-// field-identical, so the fingerprint can key caches and file identities
-// the same way trace sidecars key on the layout's geometry.
+// field-identical, so the fingerprint can key caches and file identities.
 func (s Spec) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", s)

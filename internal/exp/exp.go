@@ -80,10 +80,10 @@ type Config struct {
 	Traces *tracecache.Cache
 	// TraceDir, when non-empty, enables the snapshot disk store
 	// (tracecache.Cache.SetDir) for runs that create their own transient
-	// cache: generated traces persist there as MPS1 files and reload —
-	// memory-mapped where supported — on later runs instead of being
-	// regenerated. Ignored when Traces is set (configure the shared cache
-	// directly in that case).
+	// cache: generated traces persist there as MPS1 files and reload on
+	// later runs instead of being regenerated. Ignored when Traces is set
+	// (configure the shared cache directly in that case). No command sets
+	// it; BenchmarkMatrix does.
 	TraceDir string
 
 	// Results, when non-nil, is the content-addressed result cache matrix

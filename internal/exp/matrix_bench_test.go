@@ -19,11 +19,12 @@ func BenchmarkMatrix(b *testing.B) {
 	c := tinyConfig()
 	c.Requests = 30_000
 	// All variants share one snapshot disk store, so each workload's trace
-	// is generated exactly once and every iteration replays it from a
-	// mapped MPS1 file — the steady state the matrix runs in for real
-	// sweeps. The prewarm populates the store outside the timer: without
-	// it, CI's -benchtime=1x smoke run would time cold generation and trip
-	// the hard bench gate.
+	// is generated exactly once and every iteration reloads it from an
+	// MPS1 file instead of regenerating it. No command sets a store
+	// (exp.Config.TraceDir); the benchmark uses one to time the matrix
+	// without trace generation. The prewarm populates the store outside
+	// the timer, so even a one-iteration run does not time cold
+	// generation.
 	c.TraceDir = b.TempDir()
 	// TLM, MemPod, HMA, THM over three workloads: a 12-cell grid, the
 	// same shape as the Fig8 sweep subset.

@@ -35,9 +35,9 @@ type System struct {
 // LayoutFor returns the layout with its per-level row sizes filled in
 // from the channel specs (for the populated levels). Row size is part of
 // the physical address map — it decides how many page slots share a DRAM
-// row — so carrying it in the layout makes trace predecode planes and
-// their persisted sidecars spec-dependent: a plane computed under one
-// spec's geometry is never silently reused under another's.
+// row — so carrying it in the layout makes trace predecode planes
+// spec-dependent: a plane computed under one spec's geometry is never
+// silently reused under another's.
 func LayoutFor(l addr.Layout, fast, slow dram.Spec) (addr.Layout, error) {
 	set := func(level string, dst *uint64, channels int, spec dram.Spec) error {
 		if channels == 0 {

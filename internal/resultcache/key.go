@@ -25,8 +25,8 @@ const (
 // results (the engine is deterministic), which is what makes results
 // content-addressable.
 //
-// Execution-shape knobs — worker counts, pod shards, batch sizes, mapped
-// vs copied replay — are deliberately absent: the differential suites
+// Execution-shape knobs — worker counts, pod shards, batch sizes, replay
+// from memory or from a file — are deliberately absent: the differential suites
 // prove them bit-identical, so they must not fragment the key space.
 type CellKey struct {
 	// SimVersion is the engine-semantics stamp (sim.Version). Callers set

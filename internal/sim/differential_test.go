@@ -58,9 +58,9 @@ func diffResults(t *testing.T, label string, got, want stats.Result) {
 // one and an unlimited one, and all runs must agree field by field —
 // final touch-filter state included. Spans, the shared plane and the
 // mechanisms' column entry points are pure restructurings of the
-// per-request service. A replay of the same snapshot through the
-// disk-store open (zero-copy columns where the platform supports mmap,
-// the copying reader elsewhere) is held to the same bar.
+// per-request service. A replay of the same snapshot written to a file
+// and reopened (trace.OpenMapped, the disk-store open) is held to the
+// same bar.
 func TestBatchedEngineBitIdentical(t *testing.T) {
 	const n = 60_000
 	w, err := workload.Mix(5)
@@ -79,11 +79,11 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 	if err := os.WriteFile(mpath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	msnap, _, err := trace.OpenMapped(mpath)
+	fsnap, _, err := trace.OpenMapped(mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer msnap.Release()
+	defer fsnap.Release()
 
 	for _, mc := range mechanisms {
 		for _, window := range []int{0, 32, -1} {
@@ -91,8 +91,8 @@ func TestBatchedEngineBitIdentical(t *testing.T) {
 				newSys: newBackend, build: mc.build, window: window}
 			label := fmt.Sprintf("%s/window=%d", mc.name, window)
 			ref := p.check(label)
-			mapped := p.production(msnap, "mapped", 0)
-			diffResults(t, label+" mapped replay vs oracle(Access)", mapped.res, ref.res)
+			file := p.production(fsnap, "file", 0)
+			diffResults(t, label+" file replay vs oracle(Access)", file.res, ref.res)
 		}
 	}
 }

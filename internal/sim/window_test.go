@@ -36,24 +36,26 @@ func TestWindowMonotonicity(t *testing.T) {
 }
 
 // The engine reports identical results whether the stream comes straight
-// from the generator or is round-tripped through the binary trace format —
-// recorded traces are faithful replays.
+// from the generator or is round-tripped through the snapshot file format
+// — recorded traces are faithful replays.
 func TestGeneratorVsReplayEquivalence(t *testing.T) {
 	w, _ := workload.Mix(2)
 
 	b1 := newBackend()
 	live := mustReplay(t, New(b1, mech.NewStatic("TLM", b1)), "mix2", w.MustStream(20_000, 12))
 
+	rec := trace.Record(w.MustStream(20_000, 12), 20_000)
 	var buf bytes.Buffer
-	if _, err := trace.Write(&buf, w.MustStream(20_000, 12)); err != nil {
+	if err := trace.WriteSnapshot(&buf, "mix2", rec); err != nil {
 		t.Fatal(err)
 	}
-	replayStream, err := trace.Read(&buf)
+	rec.Release()
+	snap, _, err := trace.ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := newBackend()
-	replayed := mustReplay(t, New(b2, mech.NewStatic("TLM", b2)), "mix2", replayStream)
+	replayed := mustReplay(t, New(b2, mech.NewStatic("TLM", b2)), "mix2", snap.Stream())
 
 	if live != replayed {
 		t.Fatalf("live %+v != replay %+v", live, replayed)

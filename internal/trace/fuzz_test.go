@@ -2,51 +2,15 @@ package trace
 
 import (
 	"bytes"
-
-	"repro/internal/clock"
 	"testing"
 )
 
-// FuzzRead hardens the binary trace parser: arbitrary input must either
-// parse into a well-formed stream or return an error — never panic, and
-// never allocate absurd amounts for a corrupt header.
-func FuzzRead(f *testing.F) {
-	// Seed with a valid two-record trace and a few corruptions.
-	var good bytes.Buffer
-	if _, err := Write(&good, NewSliceStream([]Request{
-		{Addr: 64, Time: 10, Write: true, Core: 1},
-		{Addr: 128, Time: 20},
-	})); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("MPT1"))
-	f.Add([]byte("MPT1\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add(good.Bytes()[:len(good.Bytes())-3])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successful parse must yield exactly Len() well-formed records.
-		n := 0
-		var r Request
-		for s.Next(&r) {
-			n++
-		}
-		if n != s.Len() {
-			t.Fatalf("stream yielded %d records, Len() says %d", n, s.Len())
-		}
-	})
-}
-
-// FuzzSnapshotDecode hardens the packed snapshot reader (the
-// -trace-in/-trace-out persistence format): arbitrary input must either
-// decode into a well-formed snapshot or return an error — never panic,
-// never index past a column, and never allocate absurd amounts for a
-// corrupt header.
+// FuzzSnapshotDecode hardens the snapshot file readers: arbitrary input
+// must either decode into a well-formed snapshot or return an error —
+// never panic, never index past a column, and never allocate absurd
+// amounts for a corrupt header. ReadSnapshot over the bytes and
+// OpenMapped over the same bytes as a file must agree on accept/reject
+// and replay identical requests.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed with a valid three-record snapshot and targeted corruptions of
 	// each header field and column boundary.
@@ -79,27 +43,32 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, name, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
+		read, file := openBoth(t, data)
+		if (read.err == nil) != (file.err == nil) {
+			t.Fatalf("readers disagree: ReadSnapshot err %v, OpenMapped err %v", read.err, file.err)
+		}
+		if read.err != nil {
 			return
 		}
-		_ = name
+		if read.name != file.name {
+			t.Fatalf("names differ: %q vs %q", read.name, file.name)
+		}
 		// A successful decode must replay to exactly Len() records with
-		// non-decreasing times (deltas are unsigned).
-		n := 0
-		var last clock.Time
-		var r Request
-		st := s.Stream()
-		for st.Next(&r) {
-			if r.Time < last {
-				t.Fatalf("replayed time went backwards at record %d (%v < %v)", n, r.Time, last)
+		// non-decreasing times (deltas are unsigned), identically through
+		// both readers.
+		want, got := Collect(read.snap.Stream()), Collect(file.snap.Stream())
+		if len(want) != read.snap.Len() || len(got) != file.snap.Len() {
+			t.Fatalf("replayed %d/%d records, Len() says %d/%d", len(want), len(got), read.snap.Len(), file.snap.Len())
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("record %d differs: %+v vs %+v", i, want[i], got[i])
 			}
-			last = r.Time
-			n++
+			if i > 0 && want[i].Time < want[i-1].Time {
+				t.Fatalf("replayed time went backwards at record %d (%v < %v)", i, want[i].Time, want[i-1].Time)
+			}
 		}
-		if n != s.Len() {
-			t.Fatalf("snapshot replayed %d records, Len() says %d", n, s.Len())
-		}
-		s.Release()
+		read.snap.Release()
+		file.snap.Release()
 	})
 }

@@ -32,27 +32,33 @@ func TestPlaneMatchesGeom(t *testing.T) {
 		g := l.Geom()
 		reqs := boundedReqs(rng, 1000, l)
 		snap := Record(NewSliceStream(reqs), len(reqs))
-		dec := snap.Plane(&g)
-		if len(dec) != len(reqs) {
-			t.Fatalf("plane length %d, want %d", len(dec), len(reqs))
-		}
-		for i, r := range reqs {
-			p := addr.PageOf(addr.Addr(r.Addr))
-			pod, f := g.HomeFrame(p)
-			loc := g.FrameLocation(pod, f, 0)
-			want := Decoded{
-				Page:  uint64(p),
-				Frame: uint32(f),
-				Row:   uint32(loc.Row),
-				Chan:  uint16(loc.Channel),
-				Pod:   uint16(pod),
-				Line:  uint8(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage),
-			}
-			if dec[i] != want {
-				t.Fatalf("layout %+v request %d: plane %+v, want %+v", l, i, dec[i], want)
-			}
-		}
+		checkPlane(t, snap.Plane(&g), reqs, &g)
 		snap.Release()
+	}
+}
+
+// checkPlane asserts dec holds, for every request, a fresh per-request
+// decode through g.
+func checkPlane(t *testing.T, dec []Decoded, reqs []Request, g *addr.Geom) {
+	t.Helper()
+	if len(dec) != len(reqs) {
+		t.Fatalf("plane length %d, want %d", len(dec), len(reqs))
+	}
+	for i, r := range reqs {
+		p := addr.PageOf(addr.Addr(r.Addr))
+		pod, f := g.HomeFrame(p)
+		loc := g.FrameLocation(pod, f, 0)
+		want := Decoded{
+			Page:  uint64(p),
+			Frame: uint32(f),
+			Row:   uint32(loc.Row),
+			Chan:  uint16(loc.Channel),
+			Pod:   uint16(pod),
+			Line:  uint8(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage),
+		}
+		if dec[i] != want {
+			t.Fatalf("layout %+v request %d: plane %+v, want %+v", g.Layout, i, dec[i], want)
+		}
 	}
 }
 
@@ -68,6 +74,11 @@ func TestPlaneCachedPerLayout(t *testing.T) {
 		FastBytes: 1 << 30, SlowBytes: 8 << 30,
 		FastChannels: 8, SlowChannels: 4, NumPods: 2,
 	}.Geom()
+	// 4 KB slow rows (what memsys.LayoutFor produces for the NVM preset)
+	// keep every page's pod and frame but move its slow-memory row.
+	nvmLayout := addr.DefaultLayout()
+	nvmLayout.SlowRowBytes = 4096
+	nvmRows := nvmLayout.Geom()
 
 	reqs := boundedReqs(rng, 500, addr.DefaultLayout())
 	snap := Record(NewSliceStream(reqs), len(reqs))
@@ -75,19 +86,27 @@ func TestPlaneCachedPerLayout(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Error("same layout did not reuse the cached plane")
 	}
-	c := snap.Plane(&twoPods)
-	if &a[0] == &c[0] {
-		t.Error("different layout shared a plane")
-	}
-	differ := false
-	for i := range a {
-		if a[i] != c[i] {
-			differ = true
-			break
-		}
-	}
-	if !differ {
-		t.Error("distinct layouts decoded every entry identically")
+	for _, other := range []struct {
+		name string
+		g    *addr.Geom
+	}{{"two pods", &twoPods}, {"slow row 4096", &nvmRows}} {
+		t.Run(other.name, func(t *testing.T) {
+			c := snap.Plane(other.g)
+			if &a[0] == &c[0] {
+				t.Fatal("different layout shared a plane")
+			}
+			differ := false
+			for i := range a {
+				if a[i] != c[i] {
+					differ = true
+					break
+				}
+			}
+			if !differ {
+				t.Error("distinct layouts decoded every entry identically")
+			}
+			checkPlane(t, c, reqs, other.g)
+		})
 	}
 	snap.Release()
 

@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"repro/internal/addr"
@@ -25,9 +26,9 @@ import (
 //   - cores: one byte per request.
 //
 // At the generators' timestamp distribution this is ~12 B/request versus
-// the 24 B in-memory Request (and the 18 B file record), and replaying it
-// costs a few ns/request with zero allocations — an order of magnitude
-// cheaper than regenerating the trace.
+// the 24 B in-memory Request, and replaying it costs a few ns/request
+// with zero allocations — an order of magnitude cheaper than regenerating
+// the trace.
 //
 // A Snapshot is read-only after Record: any number of Stream cursors may
 // replay it concurrently. Release returns its buffers to a pool for the
@@ -38,26 +39,18 @@ type Snapshot struct {
 	// All four columns are byte slices in exactly the MPS1 file layout
 	// (addrs as little-endian uint64s, writes as little-endian uint64
 	// bitset words), so a snapshot can be backed either by buffers Record
-	// owns or — zero-copy — by an OpenMapped file mapping. In the LE word
-	// layout, request i's write bit is bit i&7 of byte i>>3.
+	// owns or by subslices of one file read (parseSnapshotBytes). In the
+	// LE word layout, request i's write bit is bit i&7 of byte i>>3.
 	times  []byte // uvarint deltas, first entry delta from time 0
 	addrs  []byte // 8 bytes per request
 	writes []byte // bitset, 8*ceil(n/64) bytes
 	cores  []byte // one per request
 
-	// mapped is the whole file mapping when the snapshot came from
-	// OpenMapped; the columns alias it, Release unmaps it, and the
-	// snapshot never enters the recording pool. path is the mapped file's
-	// location, the anchor for plane sidecars ("" for heap snapshots).
-	mapped []byte
-	path   string
-
 	// shared marks columns that alias one shared backing buffer
-	// (ReadSnapshot slices all of them out of a single read buffer;
-	// parseSnapshotBytes out of the caller's byte slice). Such a snapshot
-	// must never enter the recording pool: Record reuses pooled column
-	// slices in place, and overlapping columns would overwrite each
-	// other. Release lets the GC reclaim these instead.
+	// (parseSnapshotBytes slices all of them out of the file's bytes).
+	// Such a snapshot must never enter the recording pool: Record reuses
+	// pooled column slices in place, and overlapping columns would
+	// overwrite each other. Release lets the GC reclaim these instead.
 	shared bool
 
 	// Predecode planes, one per address layout that asked (see Plane).
@@ -66,13 +59,10 @@ type Snapshot struct {
 	planes  []plane
 
 	// Decoded absolute timestamps (see TimeColumn), built lazily like the
-	// planes and likewise recycled — or served from a mapped sidecar
-	// (timeMapped non-nil), in which case the buffer aliases read-only
-	// file memory and Release unmaps it. Guarded by timeMu.
-	timeMu     sync.Mutex
-	timeCol    []clock.Time
-	timeValid  bool
-	timeMapped []byte
+	// planes and likewise recycled. Guarded by timeMu.
+	timeMu    sync.Mutex
+	timeCol   []clock.Time
+	timeValid bool
 }
 
 // Decoded is one entry of a snapshot's predecode plane: the page/pod/
@@ -92,14 +82,11 @@ type Decoded struct {
 
 // plane is one cached predecode plane and the layout it was decoded under.
 // Record invalidates planes but keeps their buffers, so a pooled snapshot's
-// next recording reuses the capacity. A plane served from a mapped sidecar
-// (mapped non-nil) aliases read-only file memory: its buffer is never
-// reused for computation, and Release unmaps it with the snapshot.
+// next recording reuses the capacity.
 type plane struct {
 	layout addr.Layout
 	valid  bool
 	dec    []Decoded
-	mapped []byte
 }
 
 // snapPool recycles snapshot buffers across recordings, the same idiom as
@@ -160,34 +147,13 @@ func (s *Snapshot) Size() int {
 	return len(s.times) + len(s.addrs) + len(s.writes) + len(s.cores)
 }
 
-// Mapped reports whether the snapshot's columns alias a file mapping
-// (OpenMapped) rather than heap buffers.
-func (s *Snapshot) Mapped() bool { return s.mapped != nil }
-
-// Release returns the snapshot's buffers to the recording pool — or, for
-// a mapped snapshot, unmaps the file and discards the struct (mapped
-// column memory belongs to the kernel, never to the pool). The caller
-// must not use the snapshot — or any Stream cursor over it — afterwards.
+// Release returns the snapshot's buffers to the recording pool. The
+// caller must not use the snapshot — or any Stream cursor over it —
+// afterwards.
 func (s *Snapshot) Release() {
-	for i := range s.planes {
-		if m := s.planes[i].mapped; m != nil {
-			s.planes[i] = plane{}
-			munmapBytes(m)
-		}
-	}
-	if m := s.timeMapped; m != nil {
-		s.timeMapped, s.timeCol, s.timeValid = nil, nil, false
-		munmapBytes(m)
-	}
-	if s.mapped != nil {
-		m := s.mapped
-		s.mapped, s.path, s.times, s.addrs, s.writes, s.cores, s.n = nil, "", nil, nil, nil, nil, 0
-		munmapBytes(m)
-		return
-	}
 	if s.shared {
-		// Aliased columns (ReadSnapshot's single read buffer) would
-		// corrupt the next Record if pooled; drop them to the GC.
+		// Aliased columns (one file read buffer) would corrupt the next
+		// Record if pooled; drop them to the GC.
 		return
 	}
 	snapPool.Put(s)
@@ -199,22 +165,6 @@ func (s *Snapshot) Stream() *SnapshotStream {
 	return &SnapshotStream{snap: s}
 }
 
-// decodePlaneEntry is the per-address decode a plane is made of, shared
-// by Plane and the sidecar open's sample validation.
-func decodePlaneEntry(a uint64, g *addr.Geom) Decoded {
-	p := addr.PageOf(addr.Addr(a))
-	pod, f := g.HomeFrame(p)
-	loc := g.FrameLocation(pod, f, 0)
-	return Decoded{
-		Page:  uint64(p),
-		Frame: uint32(f),
-		Row:   uint32(loc.Row),
-		Chan:  uint16(loc.Channel),
-		Pod:   uint16(pod),
-		Line:  uint8(uint64(addr.LineOf(addr.Addr(a))) % addr.LinesPerPage),
-	}
-}
-
 // Plane returns the snapshot's predecode plane for g's layout, computing
 // it on first request: one Decoded entry per recorded request. Planes are
 // cached per layout (the experiment matrix mixes the standard two-level
@@ -222,12 +172,6 @@ func decodePlaneEntry(a uint64, g *addr.Geom) Decoded {
 // layout share one decode pass; computation is single-flight under the
 // snapshot's lock. The returned slice is read-only and lives exactly as
 // long as the snapshot: Release recycles the plane buffers with it.
-//
-// For a snapshot mapped from a store file (OpenMapped), the plane itself
-// is store-backed: a valid sidecar next to the file maps in zero-copy,
-// and a computed plane persists as one for the next open — so steady-
-// state replay decodes each (workload, layout) pair once per store
-// lifetime, not once per batch.
 func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 	s.planeMu.Lock()
 	defer s.planeMu.Unlock()
@@ -246,26 +190,27 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 		slot = len(s.planes) - 1
 	}
 	pl := &s.planes[slot]
-	if s.path != "" {
-		if dec, m, ok := openPlaneSidecar(s.path, g, s.addrs, s.n); ok {
-			*pl = plane{layout: g.Layout, valid: true, dec: dec, mapped: m}
-			return dec
-		}
-	}
 	dec := pl.dec
-	if cap(dec) < s.n || pl.mapped != nil {
+	if cap(dec) < s.n {
 		dec = make([]Decoded, s.n)
 	} else {
 		dec = dec[:s.n]
 	}
-	for i := 0; i < s.n; i++ {
-		a := binary.LittleEndian.Uint64(s.addrs[8*i:])
-		dec[i] = decodePlaneEntry(a, g)
+	for i := range dec {
+		a := addr.Addr(binary.LittleEndian.Uint64(s.addrs[8*i:]))
+		p := addr.PageOf(a)
+		pod, f := g.HomeFrame(p)
+		loc := g.FrameLocation(pod, f, 0)
+		dec[i] = Decoded{
+			Page:  uint64(p),
+			Frame: uint32(f),
+			Row:   uint32(loc.Row),
+			Chan:  uint16(loc.Channel),
+			Pod:   uint16(pod),
+			Line:  uint8(uint64(addr.LineOf(a)) % addr.LinesPerPage),
+		}
 	}
 	*pl = plane{layout: g.Layout, valid: true, dec: dec}
-	if s.path != "" {
-		writePlaneSidecar(s.path, g, dec)
-	}
 	return dec
 }
 
@@ -273,23 +218,15 @@ func (s *Snapshot) Plane(g *addr.Geom) []Decoded {
 // decoding the varint deltas once on first request. Like Plane, the column
 // is shared by every cursor over the snapshot (single-flight under a lock)
 // and its buffer recycles with the snapshot, so the six mechanism cells
-// replaying one workload pay one decode pass instead of six — and for a
-// store-mapped snapshot the column is itself store-backed via a mapped
-// sidecar, so steady-state opens pay none at all.
+// replaying one workload pay one decode pass instead of six.
 func (s *Snapshot) TimeColumn() []clock.Time {
 	s.timeMu.Lock()
 	defer s.timeMu.Unlock()
 	if s.timeValid {
 		return s.timeCol
 	}
-	if s.path != "" {
-		if col, m, ok := openTimesSidecar(s.path, s.times, s.n); ok {
-			s.timeCol, s.timeValid, s.timeMapped = col, true, m
-			return col
-		}
-	}
 	col := s.timeCol
-	if cap(col) < s.n || s.timeMapped != nil {
+	if cap(col) < s.n {
 		col = make([]clock.Time, s.n)
 	} else {
 		col = col[:s.n]
@@ -313,9 +250,6 @@ func (s *Snapshot) TimeColumn() []clock.Time {
 		col[i] = now
 	}
 	s.timeCol, s.timeValid = col, true
-	if s.path != "" {
-		writeTimesSidecar(s.path, col)
-	}
 	return col
 }
 
@@ -458,14 +392,17 @@ func (ss *SnapshotStream) NextSpan(max int) SpanColumns {
 	}
 }
 
-// Snapshot file format (the -trace-in/-trace-out persistence of
-// cmd/mempodsim):
+// Snapshot file format, the one on-disk trace format (cmd/tracegen's
+// output, cmd/mempodsim's -trace-in/-trace-out, the tracecache store):
 //
 //	header:  magic "MPS1" (4 bytes), name length (uint16 LE), name bytes,
 //	         request count (uint64 LE), times length (uint64 LE)
 //	columns: times (raw varint bytes), addrs (uint64 LE each),
 //	         writes bitset (uint64 LE words), cores (raw bytes)
 const snapMagic = "MPS1"
+
+// ErrBadTrace reports a malformed snapshot file.
+var ErrBadTrace = errors.New("trace: malformed trace file")
 
 // WriteSnapshot persists a snapshot, labelled with the workload name that
 // produced it, in the packed columnar format.
@@ -492,22 +429,66 @@ func WriteSnapshot(w io.Writer, name string, s *Snapshot) error {
 }
 
 // ReadSnapshot loads a snapshot written by WriteSnapshot and returns it
-// with its recorded workload name.
+// with its recorded workload name. It reads r to EOF: bytes past the
+// last column make the input malformed.
 func ReadSnapshot(r io.Reader) (*Snapshot, string, error) {
-	var fixed [4 + 2]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, "", fmt.Errorf("trace: reading snapshot header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, "", fmt.Errorf("trace: reading snapshot: %w", err)
 	}
-	if string(fixed[:4]) != snapMagic {
-		return nil, "", fmt.Errorf("%w: bad snapshot magic %q", ErrBadTrace, fixed[:4])
+	return parseSnapshotBytes(data)
+}
+
+// OpenMapped loads the snapshot file at path: one whole-file read, then
+// the same decode as ReadSnapshot, so both accept exactly the same bytes.
+// The columns slice the read buffer; Release leaves it to the garbage
+// collector.
+func OpenMapped(path string) (*Snapshot, string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, "", err
 	}
-	nameBuf := make([]byte, binary.LittleEndian.Uint16(fixed[4:]))
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, "", fmt.Errorf("%w: truncated snapshot name: %v", ErrBadTrace, err)
+	s, name, err := parseSnapshotBytes(data)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
-	var counts [16]byte
-	if _, err := io.ReadFull(r, counts[:]); err != nil {
-		return nil, "", fmt.Errorf("%w: truncated snapshot header: %v", ErrBadTrace, err)
+	return s, name, nil
+}
+
+// parseSnapshotBytes decodes the MPS1 layout in place — the returned
+// snapshot's columns are subslices of data, no copies — and validates the
+// times column, so a replay cursor can never index past a column. Errors
+// wrap ErrBadTrace and name the byte offset where decoding failed, so a
+// truncated or corrupt file is diagnosable without a hex dump.
+func parseSnapshotBytes(data []byte) (*Snapshot, string, error) {
+	off := 0
+	take := func(n int, what string) ([]byte, error) {
+		if len(data)-off < n {
+			return nil, fmt.Errorf("%w: truncated %s at offset %d (need %d bytes, have %d)",
+				ErrBadTrace, what, off, n, len(data)-off)
+		}
+		b := data[off : off+n]
+		off += n
+		return b, nil
+	}
+	magic, err := take(4, "snapshot magic")
+	if err != nil {
+		return nil, "", err
+	}
+	if string(magic) != snapMagic {
+		return nil, "", fmt.Errorf("%w: bad snapshot magic %q", ErrBadTrace, magic)
+	}
+	nl, err := take(2, "name length")
+	if err != nil {
+		return nil, "", err
+	}
+	name, err := take(int(binary.LittleEndian.Uint16(nl)), "snapshot name")
+	if err != nil {
+		return nil, "", err
+	}
+	counts, err := take(16, "snapshot counts")
+	if err != nil {
+		return nil, "", err
 	}
 	n := binary.LittleEndian.Uint64(counts[:8])
 	timesLen := binary.LittleEndian.Uint64(counts[8:])
@@ -520,32 +501,37 @@ func ReadSnapshot(r io.Reader) (*Snapshot, string, error) {
 		return nil, "", fmt.Errorf("%w: times column shorter than request count", ErrBadTrace)
 	}
 	s := &Snapshot{n: int(n), shared: true}
-	// Column bytes are buffered incrementally (bytes.Buffer grows as data
-	// arrives), so a corrupt header cannot demand an enormous up-front
-	// allocation — the same defense as the MPT1 reader.
-	var err error
-	if s.times, err = readColumn(r, int64(timesLen)); err != nil {
-		return nil, "", fmt.Errorf("%w: truncated times column: %v", ErrBadTrace, err)
-	}
 	words := int(n+63) / 64
-	buf, err := readColumn(r, 8*int64(n)+8*int64(words)+int64(n))
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: truncated snapshot columns: %v", ErrBadTrace, err)
+	if s.times, err = take(int(timesLen), "times column"); err != nil {
+		return nil, "", err
 	}
-	// The columns are stored in file layout, so they slice straight out of
-	// the read buffer with no re-encoding.
-	s.addrs = buf[:8*int(n)]
-	s.writes = buf[8*int(n) : 8*int(n)+8*words]
-	s.cores = buf[8*int(n)+8*words:]
+	if s.addrs, err = take(8*int(n), "address column"); err != nil {
+		return nil, "", err
+	}
+	if s.writes, err = take(8*words, "writes column"); err != nil {
+		return nil, "", err
+	}
+	if pad := n % 64; pad != 0 {
+		// Bits past request n-1 in the last bitset word name no request.
+		last := binary.LittleEndian.Uint64(s.writes[len(s.writes)-8:])
+		if last>>pad != 0 {
+			return nil, "", fmt.Errorf("%w: write bits set past request %d at offset %d", ErrBadTrace, n-1, off-8)
+		}
+	}
+	if s.cores, err = take(int(n), "cores column"); err != nil {
+		return nil, "", err
+	}
+	if off != len(data) {
+		return nil, "", fmt.Errorf("%w: %d trailing bytes at offset %d", ErrBadTrace, len(data)-off, off)
+	}
 	if err := validateTimes(s.times, n); err != nil {
 		return nil, "", err
 	}
-	return s, string(nameBuf), nil
+	return s, string(name), nil
 }
 
 // validateTimes checks that a times column holds exactly n complete
-// varints with no trailing bytes, so a replay cursor can never index past
-// the slice.
+// varints with no trailing bytes.
 func validateTimes(times []byte, n uint64) error {
 	off := 0
 	for i := uint64(0); i < n; i++ {
@@ -559,14 +545,4 @@ func validateTimes(times []byte, n uint64) error {
 		return fmt.Errorf("%w: %d trailing bytes in times column", ErrBadTrace, len(times)-off)
 	}
 	return nil
-}
-
-// readColumn reads exactly n bytes, growing the buffer only as bytes
-// actually arrive.
-func readColumn(r io.Reader, n int64) ([]byte, error) {
-	var b bytes.Buffer
-	if _, err := io.CopyN(&b, r, n); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
 }

@@ -215,6 +215,14 @@ func TestReadSnapshotRejectsCorruption(t *testing.T) {
 			t.Error("corrupt varint column accepted")
 		}
 	})
+	t.Run("trailing byte", func(t *testing.T) {
+		// The request count and column lengths are authoritative: a byte
+		// past the cores column means the file does not match its header.
+		b := append(bytes.Clone(full), 0)
+		if _, _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
+			t.Error("trailing byte accepted")
+		}
+	})
 }
 
 // TestSnapshotMatchesSliceStream differential-tests the packed replay

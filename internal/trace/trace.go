@@ -5,7 +5,7 @@
 // multi-programmed workload, in non-decreasing timestamp order. The paper
 // captures such traces from SPEC CPU2006 with Sniper; this repository
 // generates equivalent synthetic traces (package workload) and can persist
-// them in a compact binary format (package trace, file.go).
+// them in the packed MPS1 snapshot format (snapshot.go).
 package trace
 
 import "repro/internal/clock"

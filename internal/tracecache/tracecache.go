@@ -45,9 +45,7 @@ type Stats struct {
 	Peak      int // maximum snapshots ever resident at once
 
 	// Disk-store activity (zero unless SetDir enabled the store).
-	Persisted   int   // snapshots written to the store
-	Mapped      int   // snapshots served zero-copy from mapped store files
-	MappedBytes int64 // cumulative column bytes mapped instead of copied
+	Persisted int // snapshots written to the store
 }
 
 // Cache is a single-flight, use-counted snapshot cache. The zero value is
@@ -59,9 +57,8 @@ type Cache struct {
 	entries map[Key]*entry
 	stats   Stats
 	// dir, when non-empty, is the disk store: generated snapshots persist
-	// there as MPS1 files, and later misses for the same key reload them —
-	// memory-mapped where the platform allows (trace.OpenMapped) — instead
-	// of regenerating the trace.
+	// there as MPS1 files, and later misses for the same key reload them
+	// (trace.OpenMapped) instead of regenerating the trace.
 	dir string
 }
 
@@ -82,11 +79,11 @@ func New() *Cache {
 // SetDir enables the disk-backed snapshot store rooted at dir (which must
 // exist). With a store, each key's trace is generated at most once per
 // store lifetime rather than once per batch: a miss first tries the
-// store's MPS1 file for the key — opened zero-copy via trace.OpenMapped
-// where supported — and only generates (then persists) on a store miss.
-// Callers sharing one store directory across processes get the same
-// amortization; files are written atomically (temp file + rename), so a
-// concurrent reader sees either the old complete file or the new one.
+// store's MPS1 file for the key and only generates (then persists) on a
+// store miss. Callers sharing one store directory across processes get
+// the same amortization; files are written atomically (temp file +
+// rename), so a concurrent reader sees either the old complete file or
+// the new one.
 func (c *Cache) SetDir(dir string) {
 	c.mu.Lock()
 	c.dir = dir
@@ -134,39 +131,29 @@ func persist(path, name string, s *trace.Snapshot) error {
 
 // load produces the snapshot for a cache miss: from the disk store when
 // one is configured (generating and persisting on a store miss), plainly
-// from gen otherwise. The bool reports whether the result is file-mapped.
-func (c *Cache) load(key Key, gen func() (*trace.Snapshot, error)) (*trace.Snapshot, bool, error) {
+// from gen otherwise. A failed store write is not an error: the generated
+// snapshot is always a correct answer.
+func (c *Cache) load(key Key, gen func() (*trace.Snapshot, error)) (*trace.Snapshot, error) {
 	c.mu.Lock()
 	dir := c.dir
 	c.mu.Unlock()
 	if dir == "" {
-		s, err := gen()
-		return s, false, err
+		return gen()
 	}
 	path := filepath.Join(dir, storeName(key))
 	if s, ok := openStored(path, key); ok {
-		return s, s.Mapped(), nil
+		return s, nil
 	}
 	s, err := gen()
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if persist(path, key.Workload, s) == nil {
 		c.mu.Lock()
 		c.stats.Persisted++
 		c.mu.Unlock()
-		if ms, ok := openStored(path, key); ok && ms.Mapped() {
-			// Serve even the generating batch from the mapping; the heap
-			// buffers go straight back to the recording pool.
-			s.Release()
-			return ms, true, nil
-		} else if ok {
-			ms.Release()
-		}
 	}
-	// Store write or reopen failed (read-only dir, no mmap): the generated
-	// heap snapshot is always a correct answer.
-	return s, false, nil
+	return s, nil
 }
 
 // Acquire returns the snapshot for key, recording it via gen if no
@@ -213,14 +200,11 @@ func (c *Cache) Acquire(key Key, uses int, gen func() (*trace.Snapshot, error)) 
 	}
 	c.mu.Unlock()
 
-	snap, mapped, err := c.load(key, gen)
+	snap, err := c.load(key, gen)
 	c.mu.Lock()
 	e.snap, e.err = snap, err
 	if err != nil {
 		delete(c.entries, key)
-	} else if mapped {
-		c.stats.Mapped++
-		c.stats.MappedBytes += int64(snap.Size())
 	}
 	c.mu.Unlock()
 	close(e.ready)

@@ -341,12 +341,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return &Trace{name: name, snap: snap}, nil
 }
 
-// OpenTrace opens a trace snapshot file saved by Save, memory-mapping
-// its columns where the platform supports it — replay then reads the
-// file's bytes in place, and derived columns persist as sidecar files
-// next to the snapshot so later opens skip re-decoding. Platforms (or
-// builds) without mmap support fall back to the copying reader, so the
-// call works everywhere. Close releases the mapping.
+// OpenTrace opens a trace snapshot file saved by Save (or written by
+// cmd/tracegen), reading the whole file once and decoding it exactly as
+// ReadTrace does.
 func OpenTrace(path string) (*Trace, error) {
 	snap, name, err := trace.OpenMapped(path)
 	if err != nil {
@@ -355,14 +352,10 @@ func OpenTrace(path string) (*Trace, error) {
 	return &Trace{name: name, snap: snap}, nil
 }
 
-// Mapped reports whether the trace replays directly from a file mapping
-// (OpenTrace on an mmap-capable platform) rather than heap buffers.
-func (t *Trace) Mapped() bool { return t.snap.Mapped() }
-
-// Close releases the trace's snapshot — for a mapped trace (OpenTrace)
-// it unmaps the file. The trace and any replay derived from it must not
-// be used afterwards; Close is optional for heap traces, which the
-// garbage collector reclaims.
+// Close returns the trace's snapshot buffers for reuse by the next
+// recording. The trace and any replay derived from it must not be used
+// afterwards; Close is optional, as the garbage collector reclaims an
+// unclosed trace.
 func (t *Trace) Close() {
 	if t.snap != nil {
 		t.snap.Release()
