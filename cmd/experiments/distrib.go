@@ -1,17 +1,17 @@
 // Distributed mode: -serve shards the selected experiments' cell plan
-// across -join workers (the same protocol cmd/sweep speaks; the binaries
-// interoperate), then renders every table locally from the merged
-// results — byte-identical stdout to a serial run.
+// across -join workers and fills the result cache with their cells; the
+// tables are then rendered by the serial loop in run.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -22,12 +22,7 @@ import (
 
 type serveOptions struct {
 	addr            string
-	full            bool
-	fastSpec        string
-	slowSpec        string
 	parallelism     int
-	cacheDir        string
-	csvdir          string
 	leaseTTL        time.Duration
 	maxBatch        int
 	checkpoint      string
@@ -35,36 +30,16 @@ type serveOptions struct {
 	localWorker     bool
 }
 
-// expCfg is the configuration experiment id runs at in distributed mode:
-// the standard per-experiment config plus the command-line overrides that
-// affect cell identity.
-func expCfg(id string, o serveOptions) exp.Config {
-	cfg := exp.ConfigFor(id, o.full)
-	cfg.FastSpec, cfg.SlowSpec = o.fastSpec, o.slowSpec
-	return cfg
-}
-
-// serveSweep coordinates the experiments' cells across workers, then
-// renders the tables from the merged results in selection order.
-func serveSweep(ids []string, o serveOptions) error {
-	results := resultcache.New()
-	if o.cacheDir != "" {
-		if err := os.MkdirAll(o.cacheDir, 0o755); err != nil {
-			return err
-		}
-		results.SetDir(o.cacheDir)
-	}
-	jobs := make([]exp.Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, exp.Job{Experiment: id, Params: expCfg(id, o).Params()})
+// serve coordinates the jobs' cells across workers until every cell is
+// done, then merges them into results.
+func serve(jobs []exp.Job, results *resultcache.Cache, o serveOptions, stderr io.Writer) error {
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, format+"\n", args...)
 	}
 	co, err := distrib.New(distrib.Config{
 		Jobs: jobs, LeaseTTL: o.leaseTTL, MaxBatch: o.maxBatch,
 		CheckpointPath: o.checkpoint, CheckpointEvery: o.checkpointEvery,
-		Results: results,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Results: results, Logf: logf,
 	})
 	if err != nil {
 		return err
@@ -77,11 +52,12 @@ func serveSweep(ids []string, o serveOptions) error {
 	srv := &http.Server{Handler: distrib.Handler(co)}
 	go srv.Serve(ln)
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "experiments: coordinating %d cells on %s\n", co.Plan().Len(), ln.Addr())
+	logf("experiments: coordinating %d cells on %s", co.Plan().Len(), ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	var local sync.WaitGroup
 	if o.localWorker {
 		w := &distrib.Worker{
 			Name:        "local",
@@ -90,55 +66,29 @@ func serveSweep(ids []string, o serveOptions) error {
 			Parallelism: o.parallelism,
 			Results:     results,
 		}
-		go w.Run(ctx)
+		local.Add(1)
+		go func() {
+			defer local.Done()
+			w.Run(ctx)
+		}()
 	}
 
-	if err := co.Wait(ctx); err != nil {
+	err = co.Wait(ctx)
+	// The local worker may still be returning from its last Complete; stop
+	// it and let it exit before the cache is merged and read.
+	stop()
+	local.Wait()
+	if err != nil {
 		return fmt.Errorf("interrupted (%v); checkpoint %s holds %d done cells",
 			err, o.checkpoint, co.Status().Done)
 	}
-	fmt.Fprintln(os.Stderr, co.Status().ProgressLine())
+	logf("%s", co.Status().ProgressLine())
 	co.MergeInto(results)
-
-	var prev resultcache.Stats
-	for _, id := range ids {
-		cfg := expCfg(id, o)
-		cfg.Results = results
-		cfg.Parallelism = o.parallelism
-		start := time.Now()
-		t, err := cfg.Experiment(id)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Println(t)
-		cur := results.Stats()
-		fmt.Fprintf(os.Stderr, "%s: finished in %s cache %s\n",
-			id, time.Since(start).Round(time.Millisecond), cur.Sub(prev))
-		prev = cur
-		if o.csvdir != "" {
-			if err := os.MkdirAll(o.csvdir, 0o755); err != nil {
-				return err
-			}
-			if err := os.WriteFile(filepath.Join(o.csvdir, id+".csv"), []byte(t.CSV()), 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	fmt.Fprintf(os.Stderr, "experiments: result cache total %s\n", results.Stats())
 	return nil
 }
 
-// joinSweep serves whatever coordinator is at addr until its sweep is
-// done. The local experiment-selection flags are ignored: the plan comes
-// from the coordinator's spec.
-func joinSweep(addr, name string, batch, parallelism int, cacheDir string) error {
-	results := resultcache.New()
-	if cacheDir != "" {
-		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-			return err
-		}
-		results.SetDir(cacheDir)
-	}
+// join serves whatever coordinator is at addr until its run is done.
+func join(addr, name string, batch, parallelism int, results *resultcache.Cache, stderr io.Writer) error {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -152,7 +102,7 @@ func joinSweep(addr, name string, batch, parallelism int, cacheDir string) error
 		Parallelism: parallelism,
 		Results:     results,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		},
 	}
 	return w.Run(ctx)

@@ -9,8 +9,7 @@ import (
 // SweepWorkloadNames is the representative workload subset the
 // design-space sweeps run on (one per behaviour class: stable hot set,
 // drifting hot set, pointer chasing, streaming, work front, mixed). The
-// facade's SweepWorkloads and cmd/sweep's default subset both alias this
-// slice, so the three can never drift.
+// facade's SweepWorkloads aliases this slice, so the two can never drift.
 var SweepWorkloadNames = []string{"cactus", "xalanc", "mcf", "bwaves", "lbm", "mix5"}
 
 // ExperimentIDs lists every experiment id Experiment dispatches, in paper
@@ -24,9 +23,9 @@ func ExperimentIDs() []string {
 }
 
 // Experiment regenerates the named table or figure under this config. It
-// is the single dispatch point shared by the facade, cmd/sweep and the
-// distributed-sweep render pass, so an experiment renders identically
-// whichever path reached it.
+// is the single dispatch point shared by the facade and cmd/experiments
+// (serial and distributed runs alike), so an experiment renders
+// identically whichever path reached it.
 func (c Config) Experiment(id string) (*report.Table, error) {
 	switch id {
 	case "fig1":
@@ -65,9 +64,9 @@ func (c Config) Experiment(id string) (*report.Table, error) {
 }
 
 // ConfigFor returns the standard configuration experiment id runs at:
-// Quick or Full scale, with the design-space sweeps bounded to the
-// representative workload subset (they multiply run counts by 30+) as
-// documented in EXPERIMENTS.md.
+// Quick or Full scale, with the design-space sweeps and the ablations
+// bounded to the representative workload subset (they multiply run counts
+// by 30+) as documented in EXPERIMENTS.md.
 func ConfigFor(id string, full bool) Config {
 	var cfg Config
 	if full {
@@ -76,7 +75,7 @@ func ConfigFor(id string, full bool) Config {
 		cfg = QuickConfig()
 	}
 	switch id {
-	case "fig6", "fig7", "fig9", "specgrid":
+	case "fig6", "fig7", "fig9", "specgrid", "ablation-pods", "ablation-tracker", "energy":
 		cfg = cfg.WithWorkloads(SweepWorkloadNames...)
 		if full {
 			cfg.Requests = 1_000_000
