@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // update regenerates the golden files instead of comparing against them:
@@ -97,4 +99,67 @@ func TestGoldenFig6(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig6", tab.String())
+}
+
+// TestGoldenOracle pins the §3 offline study's three views (Figures 1–3)
+// for the golden config: the MEA and full-counter ranking accuracy and
+// next-interval prediction hits all come from one OracleStudy pass per
+// workload, replayed from the trace cache.
+func TestGoldenOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle study")
+	}
+	c := goldenConfig()
+	for _, fig := range []struct {
+		name string
+		run  func() (*report.Table, error)
+	}{{"fig1", c.Fig1}, {"fig2", c.Fig2}, {"fig3", c.Fig3}} {
+		tab, err := fig.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, fig.name, tab.String())
+	}
+}
+
+// TestGoldenFig7 pins the §6.3.1 counter-width sweep (both design points)
+// for one workload of the golden config.
+func TestGoldenFig7(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep")
+	}
+	c := goldenConfig()
+	c.Workloads = selectWorkloads("cactus")
+	tab, err := c.Fig7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig7", tab.String())
+}
+
+// TestGoldenFig9 pins the bookkeeping-cache sensitivity study: every
+// cache size of MemPod, THM and HMA, which chain each bookkeeping read
+// into its demand's issue time.
+func TestGoldenFig9(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix")
+	}
+	tab, err := goldenConfig().Fig9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig9", tab.String())
+}
+
+// TestGoldenFig10 pins the future-memory study (4 GHz HBM + DDR4-2400,
+// normalized to DDR4-2400-only).
+func TestGoldenFig10(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix")
+	}
+	tab, err := goldenConfig().Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig10", tab.String())
 }
