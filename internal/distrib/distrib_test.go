@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/resultcache"
+	"repro/internal/tracecache"
 )
 
 // sweepConfig is the tiny sweep the distrib tests shard: one workload over
@@ -524,6 +526,55 @@ func TestWorkerRefusesPlanMismatch(t *testing.T) {
 	err = w.Run(context.Background())
 	if !errors.Is(err, ErrPlanMismatch) {
 		t.Fatalf("skewed worker ran: %v", err)
+	}
+}
+
+// TestWorkerKeepsTraceAcrossLeases checks where the trace cache's idle
+// entry pays: a serial worker leasing two cells at a time over a
+// workload-major Fig6 plan records each workload's trace once for the
+// whole sweep, not once per lease, and the frames it returns equal a
+// serial RunCells over the plan byte for byte.
+func TestWorkerKeepsTraceAcrossLeases(t *testing.T) {
+	c := exp.QuickConfig().WithWorkloads("cactus", "mix5")
+	c.Requests = 2_000
+	co, err := New(Config{Jobs: []exp.Job{{Experiment: "fig6", Params: c.Params()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	w := &Worker{
+		Name:        "serial",
+		Transport:   Loopback{Co: co},
+		Batch:       2,
+		Parallelism: 1,
+		Traces:      tracecache.New(),
+	}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Traces.Stats(); st.Generated != 2 {
+		t.Errorf("worker generated %d traces over %d leases, want 2 (one per workload): %+v",
+			st.Generated, (co.Plan().Len()+1)/2, st)
+	}
+
+	indices := make([]int, co.Plan().Len())
+	for i := range indices {
+		indices[i] = i
+	}
+	runs := co.Plan().RunCells(indices, exp.RunCellsOptions{Parallelism: 1})
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for i, r := range runs {
+		if r.Err != nil {
+			t.Fatalf("serial cell %d: %v", i, r.Err)
+		}
+		if !bytes.Equal(co.frames[i], r.Frame) {
+			t.Fatalf("cell %d: worker frame differs from serial RunCells", i)
+		}
 	}
 }
 

@@ -30,7 +30,12 @@ type Worker struct {
 	// Results, when non-nil, answers repeat cells without recomputing
 	// (give workers a store directory to survive their own restarts).
 	Results *resultcache.Cache
-	// Traces, when non-nil, shares trace snapshots across batches.
+	// Traces is the trace snapshot cache the worker's batches share. A
+	// batch frees each snapshot at its last declared use except the one
+	// released last, which stays idle for the next lease: the plan is
+	// workload-major, so that lease usually starts on the same workload
+	// and replays the trace without recording it again. Nil makes Run
+	// create a cache of its own and close it when Run returns.
 	Traces *tracecache.Cache
 	// RetryDelay is the pause after a transport error or an empty grant
 	// before asking again. Default 1s.
@@ -67,6 +72,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	traces := w.Traces
 	if traces == nil {
 		traces = tracecache.New()
+		defer traces.Close()
 	}
 
 	plan, err := w.fetchPlan(ctx, retryDelay, patience)

@@ -73,10 +73,12 @@ type Config struct {
 
 	// Traces, when non-nil, is the snapshot cache matrix and oracle runs
 	// acquire their generated traces from; nil makes each run create a
-	// transient cache of its own. Sharing one cache across sequential runs
-	// aggregates its statistics (tests use this to assert the residency
-	// bound); it does not retain snapshots between runs — every batch
-	// declares exact use counts and frees each snapshot at its last use.
+	// transient cache of its own and close it when the run returns.
+	// Sharing one cache across sequential runs aggregates its statistics
+	// (tests use this to assert the residency bound) and carries one
+	// snapshot between runs: every run declares exact use counts, and the
+	// snapshot released last stays idle in the cache, so a next run that
+	// starts on the same workload replays it without recording it again.
 	Traces *tracecache.Cache
 	// TraceDir, when non-empty, enables the snapshot disk store
 	// (tracecache.Cache.SetDir) for runs that create their own transient
@@ -252,7 +254,8 @@ func (c Config) hmaConfig() hma.Config {
 }
 
 // traceCache returns the config's shared snapshot cache, or a transient
-// one for this run.
+// one for this run, which the run closes when it returns (a shared cache
+// keeps its idle snapshot for the caller's next run).
 func (c Config) traceCache() *tracecache.Cache {
 	if c.Traces != nil {
 		return c.Traces
@@ -392,12 +395,16 @@ func (c Config) simulate(w workload.Workload, b builder, traces *tracecache.Cach
 // snapshot by every builder's cell. Tasks are submitted workload-major
 // (all builders of workload 0, then workload 1, …) so the cells sharing a
 // snapshot are adjacent in the queue: since the worker pool starts tasks
-// in submission order and a snapshot stays resident only from its
-// workload's first started cell to its last released one, at most
-// Parallelism+1 snapshots are ever resident, however many workloads the
-// matrix spans (asserted by TestMatrixSnapshotResidencyBounded).
+// in submission order and a snapshot is held only from its workload's
+// first started cell to its last released one (it may then wait as the
+// cache's one idle entry, which is freed before any new generation), at
+// most Parallelism+1 snapshots are ever resident, however many workloads
+// the matrix spans (asserted by TestMatrixSnapshotResidencyBounded).
 func (c Config) matrix(builders []builder) (map[string]map[string]stats.Result, error) {
 	traces := c.traceCache()
+	if c.Traces == nil {
+		defer traces.Close()
+	}
 	results := c.resultCache()
 	// Trace snapshots are use-counted exactly, so the count must cover the
 	// cells that will actually simulate: probe the result cache for every

@@ -48,9 +48,13 @@ type OracleResult struct {
 // fanning the per-workload passes (each with its own trackers and replay
 // cursor) out to c.Parallelism workers. Traces come from the config's
 // snapshot cache — each is recorded once, replayed here, and freed at its
-// last declared use. Results keep workload order.
+// last declared use (the last one released stays idle in a shared cache).
+// Results keep workload order.
 func (c Config) OracleStudy() ([]OracleResult, error) {
 	traces := c.traceCache()
+	if c.Traces == nil {
+		defer traces.Close()
+	}
 	rcache := c.resultCache()
 	// Like matrix: probe the result cache first so trace use counts cover
 	// exactly the workloads whose oracle pass will actually replay.

@@ -247,8 +247,11 @@ type RunCellsOptions struct {
 	// receives fresh payloads — a warm worker answers a whole lease in
 	// O(1) disk-free lookups.
 	Results *resultcache.Cache
-	// Traces, when non-nil, supplies trace snapshots across batches;
-	// nil builds a transient cache for this batch only.
+	// Traces, when non-nil, supplies the batch's trace snapshots and keeps
+	// the one released last idle for the next batch, which replays it
+	// without recording it again if it starts on the same workload. Nil
+	// builds a transient cache for this batch only, closed when RunCells
+	// returns.
 	Traces *tracecache.Cache
 	// Parallelism bounds concurrent cells (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
@@ -265,14 +268,16 @@ type CellRun struct {
 // RunCells executes the cells at the given plan indices on a bounded
 // worker pool and returns one CellRun per index, in request order. Trace
 // snapshots are use-counted exactly over the batch (cache-resident cells
-// excluded, like the matrix's probe pass), so a snapshot is generated
-// once per batch and freed at its last use. Cell failures never abort the
-// batch; each failed slot carries its own error.
+// excluded, like the matrix's probe pass), so a snapshot is generated at
+// most once per batch and freed at its last use, except the one released
+// last, which stays idle in the cache for the next batch. Cell failures
+// never abort the batch; each failed slot carries its own error.
 func (p *Plan) RunCells(indices []int, opts RunCellsOptions) []CellRun {
 	out := make([]CellRun, len(indices))
 	traces := opts.Traces
 	if traces == nil {
 		traces = tracecache.New()
+		defer traces.Close()
 	}
 	results := opts.Results
 

@@ -40,8 +40,8 @@ func TestMatrixSnapshotResidencyBounded(t *testing.T) {
 	if bound := c.Parallelism + 1; st.Peak > bound {
 		t.Errorf("peak residency %d snapshots, want <= Parallelism+1 = %d", st.Peak, bound)
 	}
-	if st.Live != 0 {
-		t.Errorf("%d snapshots still resident after the matrix completed", st.Live)
+	if st.Live != 1 || st.Idle != 1 {
+		t.Errorf("Live=%d Idle=%d after the matrix completed, want only the idle snapshot", st.Live, st.Idle)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestOracleStudyResidencyBounded(t *testing.T) {
 	if bound := c.Parallelism + 1; st.Peak > bound {
 		t.Errorf("peak residency %d, want <= %d", st.Peak, bound)
 	}
-	if st.Live != 0 {
-		t.Errorf("%d snapshots leaked", st.Live)
+	if st.Live != 1 || st.Idle != 1 {
+		t.Errorf("Live=%d Idle=%d, want only the idle snapshot", st.Live, st.Idle)
 	}
 }

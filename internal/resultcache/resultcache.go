@@ -144,8 +144,10 @@ func (c *Cache) persist(dir, canon string, payload []byte) {
 // loadable from the store (in which case the entry is pinned resident, so
 // a subsequent GetOrRun is guaranteed to hit without touching the disk
 // again). Probe itself never counts a Hit or Miss; callers use it to plan
-// work — the experiment matrix probes every cell first so trace-snapshot
-// use counts cover exactly the cells that will simulate.
+// work — the experiment matrix and Plan.RunCells probe every cell first so
+// a batch's declared trace-snapshot uses cover exactly the cells that will
+// simulate. An overcount would keep the snapshot held past the batch,
+// never freed or left idle for the next one.
 func (c *Cache) Probe(key CellKey) bool {
 	c.mu.Lock()
 	_, ok := c.entries[key]

@@ -33,7 +33,7 @@ import (
 // A Snapshot is read-only after Record: any number of Stream cursors may
 // replay it concurrently. Release returns its buffers to a pool for the
 // next Record; the caller must guarantee no cursor is still in use
-// (internal/tracecache's refcounting does exactly that).
+// (internal/tracecache's declared-use counts do exactly that).
 type Snapshot struct {
 	n int
 	// All four columns are byte slices in exactly the MPS1 file layout

@@ -8,12 +8,18 @@
 // factor-of-builders reduction of the front-end cost.
 //
 // The cache is built for exact lifetimes, not heuristics: every Acquire
-// declares the total number of acquisitions the key will ever receive in
-// this batch, so the cache can release the snapshot to the recording pool
-// the moment the last user is done. Combined with workload-major task
-// ordering in internal/exp, peak residency stays O(workers), never
+// declares the total number of acquisitions the key will receive in this
+// batch, so the cache knows the moment a batch's last user is done with a
+// snapshot. That snapshot then stays resident as the cache's one idle
+// entry, so the next batch over the same workload (a distributed worker's
+// next lease, the next experiment of a sequence) revives it instead of
+// recording and decoding the trace again. The idle entry returns to the
+// recording pool as soon as another entry becomes idle, before the cache
+// generates any new snapshot, or at Close. Combined with workload-major
+// task ordering in internal/exp, peak residency stays O(workers), never
 // O(workloads): a bounded pool working in submission order can hold cells
-// of at most Parallelism+1 distinct workloads at once.
+// of at most Parallelism+1 distinct workloads at once, and the idle entry
+// never adds to that count.
 //
 // Generation is single-flight: concurrent Acquires of one key block on the
 // first caller's generator instead of generating duplicates.
@@ -41,7 +47,8 @@ type Key struct {
 type Stats struct {
 	Generated int // snapshots actually recorded (cache misses)
 	Hits      int // acquisitions served from a resident snapshot
-	Live      int // snapshots currently resident
+	Live      int // snapshots currently resident, the idle one included
+	Idle      int // resident snapshots no batch holds (0 or 1)
 	Peak      int // maximum snapshots ever resident at once
 
 	// Disk-store activity (zero unless SetDir enabled the store).
@@ -55,7 +62,10 @@ type Stats struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
-	stats   Stats
+	// idle is the entry whose batch released its last use most recently,
+	// kept resident for the next batch over its key; nil when none is.
+	idle  *entry
+	stats Stats
 	// dir, when non-empty, is the disk store: generated snapshots persist
 	// there as MPS1 files, and later misses for the same key reload them
 	// (trace.OpenMapped) instead of regenerating the trace.
@@ -63,6 +73,7 @@ type Cache struct {
 }
 
 type entry struct {
+	key      Key
 	ready    chan struct{} // closed once snap/err are set
 	snap     *trace.Snapshot
 	err      error
@@ -161,9 +172,12 @@ func (c *Cache) load(key Key, gen func() (*trace.Snapshot, error)) (*trace.Snaps
 // Acquire calls key will receive over the whole batch — every caller must
 // pass the same value — and each successful Acquire must be paired with
 // exactly one call of the returned release function. When the last use is
-// released the snapshot leaves the cache and its buffers return to the
-// recording pool, so callers must not touch the snapshot (or any cursor
-// over it) after calling release.
+// released the snapshot becomes the cache's idle entry, and an Acquire of
+// the same key in a later batch (with its own uses) revives it as a hit.
+// The idle snapshot's buffers return to the recording pool once another
+// entry becomes idle, before any new generation, or at Close; callers must
+// therefore not touch the snapshot (or any cursor over it) after calling
+// release.
 //
 // If gen fails, every waiter for the in-flight generation receives the
 // error and the entry is forgotten; a later Acquire would retry.
@@ -173,6 +187,13 @@ func (c *Cache) Acquire(key Key, uses int, gen func() (*trace.Snapshot, error)) 
 	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
+	if ok && e == c.idle {
+		c.idle = nil
+		e.uses, e.acquired, e.released = uses, 1, 0
+		c.stats.Hits++
+		c.mu.Unlock()
+		return e.snap, c.releaseFunc(e), nil
+	}
 	if ok {
 		if e.uses != uses {
 			c.mu.Unlock()
@@ -189,10 +210,13 @@ func (c *Cache) Acquire(key Key, uses int, gen func() (*trace.Snapshot, error)) 
 		if e.err != nil {
 			return nil, nil, e.err
 		}
-		return e.snap, c.releaseFunc(key, e), nil
+		return e.snap, c.releaseFunc(e), nil
 	}
 
-	e = &entry{ready: make(chan struct{}), uses: uses, acquired: 1}
+	// Free the idle snapshot first, so residency at a generation is
+	// exactly the snapshots in use plus the new one.
+	c.freeIdle()
+	e = &entry{key: key, ready: make(chan struct{}), uses: uses, acquired: 1}
 	c.entries[key] = e
 	c.stats.Generated++
 	if live := len(c.entries); live > c.stats.Peak {
@@ -211,11 +235,13 @@ func (c *Cache) Acquire(key Key, uses int, gen func() (*trace.Snapshot, error)) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return snap, c.releaseFunc(key, e), nil
+	return snap, c.releaseFunc(e), nil
 }
 
 // releaseFunc builds the idempotent release closure for one acquisition.
-func (c *Cache) releaseFunc(key Key, e *entry) func() {
+// The batch's last release makes e the idle entry, freeing the previous
+// one.
+func (c *Cache) releaseFunc(e *entry) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -223,11 +249,31 @@ func (c *Cache) releaseFunc(key Key, e *entry) func() {
 			defer c.mu.Unlock()
 			e.released++
 			if e.released == e.uses {
-				delete(c.entries, key)
-				e.snap.Release()
+				c.freeIdle()
+				c.idle = e
 			}
 		})
 	}
+}
+
+// freeIdle returns the idle entry's snapshot, if any, to the recording
+// pool. c.mu must be held.
+func (c *Cache) freeIdle() {
+	if e := c.idle; e != nil {
+		c.idle = nil
+		delete(c.entries, e.key)
+		e.snap.Release()
+	}
+}
+
+// Close frees the idle snapshot. Snapshots still held by a batch are not
+// touched, and the cache stays usable: a later Acquire of the freed key
+// generates it again. A caller that creates a cache for one call closes it
+// when the call returns.
+func (c *Cache) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.freeIdle()
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -236,5 +282,8 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Live = len(c.entries)
+	if c.idle != nil {
+		s.Idle = 1
+	}
 	return s
 }

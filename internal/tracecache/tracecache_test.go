@@ -71,8 +71,8 @@ func TestAcquireSingleFlight(t *testing.T) {
 		t.Errorf("generator ran %d times, want 1", n)
 	}
 	st := c.Stats()
-	if st.Live != 0 {
-		t.Errorf("cache still holds %d snapshots after all releases", st.Live)
+	if st.Live != 1 || st.Idle != 1 {
+		t.Errorf("after all releases Live=%d Idle=%d, want the one snapshot kept idle", st.Live, st.Idle)
 	}
 	if st.Generated != 1 || st.Hits != users-1 {
 		t.Errorf("stats %+v, want 1 generated / %d hits", st, users-1)
@@ -80,8 +80,8 @@ func TestAcquireSingleFlight(t *testing.T) {
 }
 
 // TestLastReleaseFrees pins the exact-lifetime contract: the entry stays
-// resident until the declared number of uses has been released, then
-// leaves immediately.
+// held until the declared number of uses has been released, then becomes
+// the cache's idle entry at once.
 func TestLastReleaseFrees(t *testing.T) {
 	c := New()
 	key := Key{Workload: "cactus", Requests: 64, Seed: 1}
@@ -104,8 +104,131 @@ func TestLastReleaseFrees(t *testing.T) {
 		t.Fatalf("entry freed early (live=%d) with one use outstanding", live)
 	}
 	rel3()
-	if live := c.Stats().Live; live != 0 {
-		t.Fatalf("entry still live (%d) after last release", live)
+	if st := c.Stats(); st.Live != 1 || st.Idle != 1 {
+		t.Fatalf("after last release Live=%d Idle=%d, want the entry idle", st.Live, st.Idle)
+	}
+}
+
+// TestIdleRevivedByNextBatch checks the cross-batch hit: a second batch
+// over the last-released key revives the idle snapshot under its own
+// declared uses, without generating, and its last release makes the entry
+// idle again.
+func TestIdleRevivedByNextBatch(t *testing.T) {
+	c := New()
+	key := Key{Workload: "mix5", Requests: 128, Seed: 4}
+	var calls atomic.Int32
+	first, rel1, err := c.Acquire(key, 2, snapGen(128, 4, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rel2, err := c.Acquire(key, 2, snapGen(128, 4, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel1()
+	rel2()
+
+	var rels []func()
+	for i := 0; i < 3; i++ {
+		snap, rel, err := c.Acquire(key, 3, snapGen(128, 4, &calls))
+		if err != nil {
+			t.Fatalf("second batch acquire %d: %v", i, err)
+		}
+		if snap != first {
+			t.Fatalf("second batch acquire %d got another snapshot", i)
+		}
+		rels = append(rels, rel)
+	}
+	if st := c.Stats(); st.Generated != 1 || st.Hits != 4 || st.Live != 1 || st.Idle != 0 {
+		t.Fatalf("during second batch: %+v, want Generated 1, Hits 4, Live 1, Idle 0", st)
+	}
+	if _, _, err := c.Acquire(key, 3, snapGen(128, 4, &calls)); err == nil {
+		t.Error("acquire beyond the revived batch's declared uses accepted")
+	}
+	rels[0]()
+	rels[1]()
+	if st := c.Stats(); st.Idle != 0 {
+		t.Fatalf("entry idle (%+v) with one use of the second batch outstanding", st)
+	}
+	rels[2]()
+	if st := c.Stats(); st.Live != 1 || st.Idle != 1 {
+		t.Fatalf("after the second batch: %+v, want Live == Idle == 1", st)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("generator ran %d times, want 1", n)
+	}
+}
+
+// TestMissFreesIdleFirst checks the memory bound: a miss on another key
+// frees the idle snapshot before generating, so the idle entry never adds
+// to peak residency, and the freed key regenerates on its next use.
+func TestMissFreesIdleFirst(t *testing.T) {
+	c := New()
+	keyA := Key{Workload: "a", Requests: 64, Seed: 1}
+	keyB := Key{Workload: "b", Requests: 64, Seed: 2}
+	_, relA, err := c.Acquire(keyA, 1, snapGen(64, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA()
+	_, relB, err := c.Acquire(keyB, 1, snapGen(64, 2, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Generated != 2 || st.Peak != 1 || st.Live != 1 || st.Idle != 0 {
+		t.Fatalf("after the miss: %+v, want Generated 2, Peak 1, Live 1, Idle 0", st)
+	}
+	relB()
+	var calls atomic.Int32
+	_, relA, err = c.Acquire(keyA, 1, snapGen(64, 1, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA()
+	if calls.Load() != 1 {
+		t.Errorf("freed key served without regenerating (%d generator calls)", calls.Load())
+	}
+	if st := c.Stats(); st.Generated != 3 || st.Hits != 0 || st.Peak != 1 {
+		t.Errorf("stats %+v, want Generated 3, Hits 0, Peak 1", st)
+	}
+}
+
+// TestCloseFreesIdle checks that Close frees the idle snapshot, leaves a
+// held one alone, and leaves the cache usable.
+func TestCloseFreesIdle(t *testing.T) {
+	c := New()
+	keyA := Key{Workload: "a", Requests: 64, Seed: 1}
+	keyB := Key{Workload: "b", Requests: 64, Seed: 2}
+	_, relA, err := c.Acquire(keyA, 1, snapGen(64, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA()
+	c.Close()
+	if st := c.Stats(); st.Live != 0 || st.Idle != 0 {
+		t.Fatalf("after Close: %+v, want nothing resident", st)
+	}
+
+	snapB, relB, err := c.Acquire(keyB, 1, snapGen(64, 2, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if st := c.Stats(); st.Live != 1 || st.Idle != 0 {
+		t.Fatalf("Close with a use outstanding: %+v, want the held entry kept", st)
+	}
+	if got := trace.Collect(snapB.Stream()); len(got) != 64 || got[0] != genReqs(64, 2)[0] {
+		t.Fatal("held snapshot damaged by Close")
+	}
+	relB()
+
+	_, relA, err = c.Acquire(keyA, 1, snapGen(64, 1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA()
+	if st := c.Stats(); st.Generated != 3 || st.Live != 1 || st.Idle != 1 {
+		t.Errorf("after reuse: %+v, want Generated 3, Live == Idle == 1", st)
 	}
 }
 
@@ -186,9 +309,9 @@ func TestAcquireContractViolations(t *testing.T) {
 // the single-flight path, the waiter path and the last-release eviction
 // all race. The assertions are the cache's two contracts: exactly one
 // generation per distinct key (Generated == unique keys, however the
-// claimants interleaved), and exact lifetimes (Live == 0 once every
-// declared use is released, residency never exceeding the distinct-key
-// count). CI runs this under -race, which checks the snapshot handoff
+// claimants interleaved), and exact lifetimes (only the one idle entry
+// resident once every declared use is released, residency never exceeding
+// the distinct-key count). CI runs this under -race, which checks the snapshot handoff
 // itself: every claimant replays its snapshot, so a buffer released back
 // to the recording pool while still in use is a detected race.
 func TestCacheStressConcurrentClaimants(t *testing.T) {
@@ -249,15 +372,20 @@ func TestCacheStressConcurrentClaimants(t *testing.T) {
 	if s.Hits != totalUsers-keys {
 		t.Errorf("hits = %d, want %d", s.Hits, totalUsers-keys)
 	}
-	if s.Live != 0 {
-		t.Errorf("%d snapshots still resident after every use released", s.Live)
+	if s.Live != 1 || s.Idle != 1 {
+		t.Errorf("Live=%d Idle=%d after every use released, want only the idle entry", s.Live, s.Idle)
 	}
 	if s.Peak > keys {
 		t.Errorf("peak residency %d exceeds the %d distinct keys", s.Peak, keys)
 	}
 
-	// The keys are gone, so a fresh batch over one of them regenerates:
+	// Which key is idle depends on the interleaving; Close frees it. The
+	// keys are then gone, so a fresh batch over one of them regenerates:
 	// eviction must not leave tombstones that serve recycled buffers.
+	c.Close()
+	if got := c.Stats(); got.Live != 0 || got.Idle != 0 {
+		t.Fatalf("after Close: %+v, want nothing resident", got)
+	}
 	snap, release, err := c.Acquire(Key{Workload: "stress", Requests: reqsPerTrace, Seed: 0}, 1, snapGen(reqsPerTrace, 0, &calls))
 	if err != nil {
 		t.Fatal(err)
@@ -266,8 +394,8 @@ func TestCacheStressConcurrentClaimants(t *testing.T) {
 		t.Errorf("regenerated snapshot has %d requests, want %d", snap.Len(), reqsPerTrace)
 	}
 	release()
-	if got := c.Stats(); got.Generated != keys+1 || got.Live != 0 {
-		t.Errorf("after regeneration: %+v, want Generated %d, Live 0", got, keys+1)
+	if got := c.Stats(); got.Generated != keys+1 || got.Live != 1 || got.Idle != 1 {
+		t.Errorf("after regeneration: %+v, want Generated %d, Live == Idle == 1", got, keys+1)
 	}
 }
 
