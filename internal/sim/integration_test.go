@@ -130,3 +130,32 @@ func TestAccessConservation(t *testing.T) {
 			total, expected, res.Requests, res.Mig.LineMigrations)
 	}
 }
+
+// TestChainedInvariantsUnderLoad drives each chained configuration
+// (chainedMechanisms) with mix6 and checks its structural invariants
+// afterwards. Each run must have taken the chained branch: a
+// bookkeeping-cache miss, or an LLP misprediction for CAMEO.
+func TestChainedInvariantsUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	for _, mc := range mechanisms {
+		if !chainedMechanisms[mc.name] {
+			continue
+		}
+		b := newBackend()
+		m := mc.build(b)
+		driveWorkload(t, m, b, 5)
+		if err := m.(interface{ CheckInvariants() error }).CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", mc.name, err)
+		}
+		chained := m.Stats().CacheMisses
+		if c, ok := m.(*cameo.CAMEO); ok {
+			chained = c.Mispredictions()
+		}
+		if chained == 0 {
+			t.Errorf("%s: no bookkeeping-cache miss or LLP misprediction exercised", mc.name)
+		}
+		mech.Release(m)
+	}
+}
