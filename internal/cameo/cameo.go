@@ -153,60 +153,10 @@ func slotOf(perm uint64, member, members int) int {
 	panic("cameo: corrupt group permutation")
 }
 
-// Access implements mech.Mechanism: serve the line from its current slot;
-// if that slot is slow, swap the line into the group's fast slot.
-func (c *CAMEO) Access(r *trace.Request, at clock.Time) clock.Time {
-	return c.access(r, addr.LineOf(addr.Addr(r.Addr)), at)
-}
-
-// AccessDecoded implements mech.Mechanism. CAMEO manages lines, not
-// frames: the global line index reassembles exactly from the plane's page
-// and line-in-page (addresses are line-aligned by construction).
-func (c *CAMEO) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return c.access(r, addr.Line(d.Page*addr.LinesPerPage+uint64(d.Line)), at)
-}
-
-func (c *CAMEO) access(r *trace.Request, ln addr.Line, at clock.Time) clock.Time {
-	// CAMEO's locks only shed entries when their line is re-accessed;
-	// compact occasionally with the trace clock as the expiry floor.
-	c.locks.MaybeCompact(r.Time)
-	grp, member := c.groupOf(ln)
-	perm := c.perm(grp)
-	slot := slotOf(perm, member, c.members)
-
-	start := at
-	var lockEnd clock.Time
-	if end := c.locks.GetActive(uint64(ln), start); end != 0 {
-		lockEnd = end
-		c.stats.LockStalls++
-	}
-
-	if c.pred != nil {
-		// Mispredictions pay a wasted probe at the predicted location
-		// before the request replays at the correct slot.
-		if predicted := c.pred.Predict(grp); predicted != slot {
-			c.mispred++
-			wrong := c.lineOf(grp, predicted%c.members)
-			start = c.backend.Sys.Access(c.geom.HomeLocation(wrong), false, start)
-		}
-		c.pred.Update(grp, slot)
-	}
-	slotLine := c.lineOf(grp, slot)
-	done := c.backend.Sys.Access(c.geom.HomeLocation(slotLine), r.Write, start)
-	if lockEnd > done {
-		done = lockEnd
-	}
-
-	if slot != 0 && (c.cfg.SwapOnWrite || !r.Write) {
-		c.swapIntoFast(grp, perm, slot, ln, slotLine, start)
-	}
-	return done
-}
-
 // swapIntoFast performs CAMEO's event-triggered swap of the accessed
 // line (currently in `slot` of its group) with the group's fast slot:
 // the copy traffic, the permutation update, the locks on both moving
-// lines, and the counters. Shared by the per-request and column paths.
+// lines, and the counters.
 func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line, start clock.Time) {
 	fastLine := c.lineOf(grp, 0)
 	end := c.backend.SwapLines(
@@ -228,29 +178,28 @@ func (c *CAMEO) swapIntoFast(grp, perm uint64, slot int, ln, slotLine addr.Line,
 	c.stats.BytesMoved += 2 * addr.LineBytes
 }
 
-// AccessColumn implements mech.Mechanism. CAMEO has no queues or
-// intervals; its only immediate channel traffic is the event-triggered
-// swap, which flushes the plan right after routing the triggering demand
-// access — preserving the per-request order (demand, then copy traffic,
-// both issued at the same request time). The LLP configuration chains a
-// misprediction probe into the demand's issue time and keeps the
-// per-request path.
+// AccessColumn implements mech.Mechanism: serve each line from its
+// current slot; if that slot is slow, swap the line into the group's
+// fast slot. CAMEO manages lines, not frames: the global line index
+// reassembles exactly from the plane's page and line-in-page (addresses
+// are line-aligned by construction). CAMEO has no queues or intervals;
+// its immediate channel traffic is the event-triggered swap, which
+// flushes the plan right after routing the triggering demand access —
+// preserving the per-request order (demand, then copy traffic, both
+// issued at the demand's issue time) — and, with the LLP, the
+// misprediction probe, which the demand waits for
+// (mech.ColumnPlan.Issue).
 func (c *CAMEO) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if c.pred != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = c.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
 	plan := c.backend.Plan()
 	plan.Begin(done)
-	for i := range dec {
+	for i := range sc.Dec {
+		d := &sc.Dec[i]
 		write := sc.Write(i)
 		ti := at[i]
+		// CAMEO's locks only shed entries when their line is re-accessed;
+		// compact occasionally with the trace clock as the expiry floor.
 		c.locks.MaybeCompact(sc.Times[i])
-		ln := addr.Line(dec[i].Page*addr.LinesPerPage + uint64(dec[i].Line))
+		ln := addr.Line(d.Page*addr.LinesPerPage + uint64(d.Line))
 		grp, member := c.groupOf(ln)
 		perm := c.perm(grp)
 		slot := slotOf(perm, member, c.members)
@@ -260,6 +209,16 @@ func (c *CAMEO) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 			c.stats.LockStalls++
 		}
 		done[i] = lockEnd
+		if c.pred != nil {
+			// Mispredictions pay a wasted probe at the predicted location
+			// before the request replays at the correct slot.
+			if predicted := c.pred.Predict(grp); predicted != slot {
+				c.mispred++
+				wrong := c.geom.HomeLocation(c.lineOf(grp, predicted%c.members))
+				ti = plan.Issue(wrong.Channel, wrong.Row, false, ti)
+			}
+			c.pred.Update(grp, slot)
+		}
 		slotLine := c.lineOf(grp, slot)
 		loc := c.geom.HomeLocation(slotLine)
 		plan.Route(loc.Channel, loc.Row, write, ti, int32(i))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dram"
 	"repro/internal/mech"
+	"repro/internal/mech/mechtest"
 	"repro/internal/memsys"
 	"repro/internal/trace"
 )
@@ -45,7 +46,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 	fast := uint64(c.layout.FastLines())
 	slow := addr.Line(fast + 100)
 	req := trace.Request{Addr: uint64(slow) * addr.LineBytes}
-	c.Access(&req, 0)
+	mechtest.Access(c.backend, c, &req, 0)
 	if c.SlotOfLine(slow) != 0 {
 		t.Fatal("slow line not promoted on first access")
 	}
@@ -60,7 +61,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 	req2 := trace.Request{Addr: uint64(c.lineOf(100, 0)) * addr.LineBytes}
 	_ = req2
 	reqEv := trace.Request{Addr: uint64(evicted) * addr.LineBytes}
-	c.Access(&reqEv, clock.Millisecond)
+	mechtest.Access(c.backend, c, &reqEv, clock.Millisecond)
 	if c.SlotOfLine(evicted) != 0 {
 		t.Fatal("evicted line not swapped back on access")
 	}
@@ -72,7 +73,7 @@ func TestEverySlowAccessSwaps(t *testing.T) {
 func TestFastAccessDoesNotSwap(t *testing.T) {
 	c := newCAMEO(t)
 	req := trace.Request{Addr: 64 * 7}
-	c.Access(&req, 0)
+	mechtest.Access(c.backend, c, &req, 0)
 	if c.Stats().PageMigrations != 0 {
 		t.Fatal("fast-resident access triggered a swap")
 	}
@@ -88,9 +89,9 @@ func TestThrashingTwoLinesOneGroup(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 10; i++ {
 		at += 10 * clock.Microsecond
-		c.Access(&a, at)
+		mechtest.Access(c.backend, c, &a, at)
 		at += 10 * clock.Microsecond
-		c.Access(&b, at)
+		mechtest.Access(c.backend, c, &b, at)
 	}
 	if got := c.Stats().PageMigrations; got != 20 {
 		t.Fatalf("swaps = %d, want 20 (every access migrates)", got)
@@ -103,9 +104,9 @@ func TestPermutationRoundTrip(t *testing.T) {
 	ln := addr.Line(fast + 33)
 	req := trace.Request{Addr: uint64(ln) * addr.LineBytes}
 	// Swap in, then access the evicted fast line to swap back.
-	c.Access(&req, 0)
+	mechtest.Access(c.backend, c, &req, 0)
 	evictedReq := trace.Request{Addr: 33 * addr.LineBytes}
-	c.Access(&evictedReq, clock.Millisecond)
+	mechtest.Access(c.backend, c, &evictedReq, clock.Millisecond)
 	if c.SlotOfLine(addr.Line(33)) != 0 {
 		t.Fatal("round trip did not restore fast line")
 	}
@@ -119,9 +120,9 @@ func TestLockStallDuringLineSwap(t *testing.T) {
 	fast := uint64(c.layout.FastLines())
 	ln := addr.Line(fast + 9)
 	req := trace.Request{Addr: uint64(ln) * addr.LineBytes}
-	c.Access(&req, 0)
+	mechtest.Access(c.backend, c, &req, 0)
 	// Immediately re-access: the line is locked by its own swap.
-	done := c.Access(&req, clock.Nanosecond)
+	done := mechtest.Access(c.backend, c, &req, clock.Nanosecond)
 	if done <= clock.Time(10*clock.Nanosecond) {
 		t.Fatalf("access during swap completed at %v", done)
 	}
@@ -153,7 +154,7 @@ func TestLLPPredictsStableGroups(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 20; i++ {
 		at += clock.Microsecond
-		c.Access(&req, at)
+		mechtest.Access(c.backend, c, &req, at)
 	}
 	if got := c.Mispredictions(); got > 1 {
 		t.Errorf("stable line mispredicted %d times", got)
@@ -175,12 +176,12 @@ func TestLLPMispredictsAfterSwap(t *testing.T) {
 	// Train on the fast line, swap it out via the slow member, then
 	// re-access: its slot changed, so the predictor must miss once.
 	at += clock.Microsecond
-	c.Access(&evicted, at)
+	mechtest.Access(c.backend, c, &evicted, at)
 	before := c.Mispredictions()
 	at += clock.Microsecond
-	c.Access(&slow, at) // triggers swap: line 77 evicted to slow slot
+	mechtest.Access(c.backend, c, &slow, at) // triggers swap: line 77 evicted to slow slot
 	at += clock.Millisecond
-	c.Access(&evicted, at)
+	mechtest.Access(c.backend, c, &evicted, at)
 	if c.Mispredictions() <= before {
 		t.Error("no misprediction after the group's permutation changed")
 	}
@@ -189,7 +190,7 @@ func TestLLPMispredictsAfterSwap(t *testing.T) {
 func TestLLPDisabledCountsNothing(t *testing.T) {
 	c := newCAMEO(t)
 	req := trace.Request{Addr: 64}
-	c.Access(&req, 0)
+	mechtest.Access(c.backend, c, &req, 0)
 	if c.Mispredictions() != 0 {
 		t.Error("mispredictions counted with LLP disabled")
 	}

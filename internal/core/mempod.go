@@ -237,31 +237,23 @@ func (m *MemPod) Release() {
 	}
 }
 
-// Access implements mech.Mechanism: observe the page in the pod's MEA
-// unit, consult the remap table (through the cache model if enabled),
-// stall behind any in-flight swap of the page, and forward the line to its
-// current frame.
-func (m *MemPod) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := addr.PageOf(addr.Addr(r.Addr))
-	podID, home := m.geom.HomeFrame(page)
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return m.access(r, uint64(page), podID, uint32(home), li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism: the home decomposition
-// comes from the trace's predecode plane instead of being re-derived, and
-// un-migrated pages (the identity remap, i.e. most of the trace) are
-// serviced at the plane's precomputed home channel/row.
-func (m *MemPod) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return m.access(r, d.Page, int(d.Pod), d.Frame, int(d.Line), at, d)
-}
-
-func (m *MemPod) access(r *trace.Request, page uint64, podID int, local uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
-	for at >= m.next {
-		m.runInterval(m.next)
-		m.next += m.cfg.Interval
+// AccessColumn implements mech.Mechanism: interval boundaries (a full
+// flush, since every pod drains) and the shared touch filter, then the
+// pod-local access path (accessPod) through the backend's plan.
+func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
+	plan := m.backend.Plan()
+	plan.Begin(done)
+	dec := sc.Dec
+	for i := range dec {
+		d := &dec[i]
+		t := at[i]
+		if t >= m.next {
+			plan.Flush()
+			m.advance(plan, t)
+		}
+		m.accessPod(plan, d, sc.Write(i), t, m.touch.Touch(sc.Cores[i], d.Page), i, done)
 	}
-	return m.accessPod(&m.pods[podID], r, podID, local, li, at, d, m.touch.Touch(r.Core, page))
+	plan.Flush()
 }
 
 // Pods implements mech.PodSharded.
@@ -270,11 +262,16 @@ func (m *MemPod) Pods() int { return len(m.pods) }
 // NextBoundary implements mech.PodSharded.
 func (m *MemPod) NextBoundary() clock.Time { return m.next }
 
-// AdvanceBoundary implements mech.PodSharded: the same loop the serial
-// access path runs inline, hoisted to the engine's barrier.
-func (m *MemPod) AdvanceBoundary(t clock.Time) {
+// AdvanceBoundary implements mech.PodSharded: the boundary loop
+// AccessColumn runs inline, hoisted to the engine's barrier. No worker
+// plan holds pending traffic there, so the interval work issues through
+// the backend's (empty) plan.
+func (m *MemPod) AdvanceBoundary(t clock.Time) { m.advance(m.backend.Plan(), t) }
+
+// advance runs every interval boundary at or before t.
+func (m *MemPod) advance(plan *mech.ColumnPlan, t clock.Time) {
 	for t >= m.next {
-		m.runInterval(m.next)
+		m.runInterval(plan, m.next)
 		m.next += m.cfg.Interval
 	}
 }
@@ -282,38 +279,65 @@ func (m *MemPod) AdvanceBoundary(t clock.Time) {
 // SharedTouch implements mech.TouchSharer.
 func (m *MemPod) SharedTouch() *mech.TouchFilter { return &m.touch }
 
-// accessPod is the pod-local tail of the access path, shared by the
-// serial entry points and the pod-parallel cache fallback.
-func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li int, at clock.Time, d *trace.Decoded, touched bool) clock.Time {
-	// Execute any queued swaps whose paced start time has arrived, so
-	// channel traffic stays in time order. The guard is inlined here:
-	// most accesses find nothing due, and the call is not free.
-	if p.qpos < len(p.queue) && p.queue[p.qpos].start <= at {
-		m.drainPod(p, at)
+// AccessShardedColumn implements mech.PodSharded: accessPod over a
+// worker's share of a wavefront segment, routed through the
+// worker-private plan, with interval advancement and the touch filter
+// already handled by the caller. accessPod reads and writes only the
+// request's pod (tables, locks, cache, queue, per-pod stats) or
+// immutable state (geometry, config), and the backend routes the pod's
+// demand, bookkeeping and swap traffic onto the pod's own channels, so
+// concurrent calls for disjoint pod sets share nothing mutable.
+func (m *MemPod) AccessShardedColumn(sc *mech.ShardedColumn) {
+	plan := sc.Plan
+	plan.Begin(sc.Done)
+	span := sc.Span
+	for i := sc.Lo; i < sc.Hi; i++ {
+		d := &span.Dec[i]
+		if int(d.Pod)%sc.Workers != sc.Worker {
+			continue
+		}
+		m.accessPod(plan, d, span.Write(i), sc.At[i], sc.Touched[i], i, sc.Done)
 	}
+	plan.Flush()
+}
 
+// accessPod is the pod-local access path of request i, issued at t:
+// execute the pod's due swaps, observe the page in the pod's MEA unit
+// if the touch filter passed it, consult the remap table (through the
+// cache model if enabled: a miss issues a bookkeeping read and the
+// demand waits for it), note any in-flight swap of the page as a lock
+// stall, and route the line to its current frame. done[i] receives the
+// lock release; the plan folds the access's completion into it.
+func (m *MemPod) accessPod(plan *mech.ColumnPlan, d *trace.Decoded, write bool, t clock.Time, touched bool, i int, done []clock.Time) {
+	p := &m.pods[d.Pod]
+	// Execute any queued swaps whose paced start time has arrived, so
+	// channel traffic stays in time order. A drain only touches its
+	// pod's channels, so only those columns flush. The guard is inlined
+	// here: most accesses find nothing due, and the call is not free.
+	if p.qpos < len(p.queue) && p.queue[p.qpos].start <= t {
+		m.backend.FlushPodChannels(plan, int(d.Pod))
+		m.drainPod(plan, p, t)
+	}
 	if touched {
 		// Direct dispatch for the common concrete tracker; the interface
 		// call is only paid by the Full Counters ablation.
 		if p.mea != nil {
-			p.mea.Observe(uint64(local))
+			p.mea.Observe(uint64(d.Frame))
 		} else {
-			p.tracker.Observe(uint64(local))
+			p.tracker.Observe(uint64(d.Frame))
 		}
 	}
-
-	start := at
 	if p.cache != nil {
-		block := uint64(local) / entriesPerBlock
+		block := uint64(d.Frame) / entriesPerBlock
 		if p.cache.Access(block) {
 			p.stats.CacheHits++
 		} else {
 			p.stats.CacheMisses++
-			start = m.backend.BookkeepingRead(podID, block, start)
+			t = m.backend.BookkeepingRead(plan, int(d.Pod), block, t)
 		}
 	}
 	var lockEnd clock.Time
-	if end := p.locks.GetActive(uint64(local), start); end != 0 {
+	if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
 		// The page's swap is in flight: the request cannot complete
 		// before the copy lands. The DRAM access itself still issues
 		// now (channel traffic must stay in time order); the lock
@@ -321,142 +345,23 @@ func (m *MemPod) accessPod(p *pod, r *trace.Request, podID int, local uint32, li
 		lockEnd = end
 		p.stats.LockStalls++
 	}
-
-	f := addr.Frame(p.remap.A[local])
-	if d != nil && uint32(f) == local {
+	done[i] = lockEnd
+	if f := p.remap.A[d.Frame]; f == d.Frame {
 		// Identity remap: the page still lives in its home frame, whose
 		// channel/row the predecode plane already resolved.
-		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
+		plan.Route(int(d.Chan), uint64(d.Row), write, t, int32(i))
+	} else {
+		ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
+		plan.Route(ch, row, write, t, int32(i))
 	}
-	return clock.Max(m.backend.Line(podID, f, li, r.Write, start), lockEnd)
-}
-
-// AccessColumn implements mech.Mechanism: the serial access path
-// with demand accesses gathered into per-channel columns. Flush points
-// mirror every place the per-request path injects immediate channel
-// traffic — interval boundaries (full flush: every pod drains) and due
-// swap drains (pod-scoped: a drain only touches its pod's channels, so
-// only those columns flush and the other pods' keep accumulating) — so
-// the columns' channels see exactly the per-request state. With the
-// bookkeeping cache enabled a miss chains a read into the demand's
-// issue time, which a column cannot express; that configuration keeps
-// the per-request path.
-func (m *MemPod) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if m.cfg.CacheBytes > 0 {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = m.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := m.backend.Plan()
-	plan.Begin(done)
-	for i := range dec {
-		d := &dec[i]
-		t := at[i]
-		if t >= m.next {
-			plan.Flush()
-			for t >= m.next {
-				m.runInterval(m.next)
-				m.next += m.cfg.Interval
-			}
-		}
-		p := &m.pods[d.Pod]
-		if p.qpos < len(p.queue) && p.queue[p.qpos].start <= t {
-			m.backend.FlushPodChannels(plan, int(d.Pod))
-			m.drainPod(p, t)
-		}
-		if m.touch.Touch(sc.Cores[i], d.Page) {
-			if p.mea != nil {
-				p.mea.Observe(uint64(d.Frame))
-			} else {
-				p.tracker.Observe(uint64(d.Frame))
-			}
-		}
-		var lockEnd clock.Time
-		if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
-			lockEnd = end
-			p.stats.LockStalls++
-		}
-		done[i] = lockEnd
-		if f := p.remap.A[d.Frame]; f == d.Frame {
-			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), t, int32(i))
-		} else {
-			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
-			plan.Route(ch, row, sc.Write(i), t, int32(i))
-		}
-	}
-	plan.Flush()
-}
-
-// AccessShardedColumn implements mech.PodSharded: the access path with
-// the two cross-pod pieces — interval advancement and the touch filter —
-// already handled by the caller, over a worker's share of a wavefront
-// segment routed through the worker-private plan. Everything it reads or
-// writes belongs to the owned requests' pods (tables, locks, cache,
-// queue, per-pod stats) or is immutable (geometry, config), and the
-// backend routes the pods' demand, bookkeeping and swap traffic onto the
-// pods' own channels, so concurrent calls for disjoint pod sets share
-// nothing mutable. The only flush points left are the worker's own pods'
-// swap drains, each pod-scoped like the serial path's (a drain touches
-// only the draining pod's channels).
-func (m *MemPod) AccessShardedColumn(sc *mech.ShardedColumn) {
-	span := sc.Span
-	dec := span.Dec
-	if m.cfg.CacheBytes > 0 {
-		for i := sc.Lo; i < sc.Hi; i++ {
-			d := &dec[i]
-			if int(d.Pod)%sc.Workers != sc.Worker {
-				continue
-			}
-			r := span.Request(i)
-			sc.Done[i] = m.accessPod(&m.pods[d.Pod], &r, int(d.Pod), d.Frame, int(d.Line), sc.At[i], d, sc.Touched[i])
-		}
-		return
-	}
-	plan := sc.Plan
-	plan.Begin(sc.Done)
-	for i := sc.Lo; i < sc.Hi; i++ {
-		d := &dec[i]
-		if int(d.Pod)%sc.Workers != sc.Worker {
-			continue
-		}
-		t := sc.At[i]
-		p := &m.pods[d.Pod]
-		if p.qpos < len(p.queue) && p.queue[p.qpos].start <= t {
-			m.backend.FlushPodChannels(plan, int(d.Pod))
-			m.drainPod(p, t)
-		}
-		if sc.Touched[i] {
-			if p.mea != nil {
-				p.mea.Observe(uint64(d.Frame))
-			} else {
-				p.tracker.Observe(uint64(d.Frame))
-			}
-		}
-		var lockEnd clock.Time
-		if end := p.locks.GetActive(uint64(d.Frame), t); end != 0 {
-			lockEnd = end
-			p.stats.LockStalls++
-		}
-		sc.Done[i] = lockEnd
-		if f := p.remap.A[d.Frame]; f == d.Frame {
-			plan.Route(int(d.Chan), uint64(d.Row), span.Write(i), t, int32(i))
-		} else {
-			ch, row := m.backend.LineLoc(int(d.Pod), addr.Frame(f))
-			plan.Route(ch, row, span.Write(i), t, int32(i))
-		}
-	}
-	plan.Flush()
 }
 
 // drainPod executes the pod's due swaps: every queue entry whose paced
 // start is at or before `now`. Swaps serialize through the pod's single
 // migration driver (lastSwapEnd).
-func (m *MemPod) drainPod(p *pod, now clock.Time) {
+func (m *MemPod) drainPod(plan *mech.ColumnPlan, p *pod, now clock.Time) {
 	for p.qpos < len(p.queue) && p.queue[p.qpos].start <= now {
-		m.executeSwap(p, p.queue[p.qpos])
+		m.executeSwap(plan, p, p.queue[p.qpos])
 		p.qpos++
 	}
 }
@@ -464,8 +369,10 @@ func (m *MemPod) drainPod(p *pod, now clock.Time) {
 // executeSwap runs one chunk of a queued swap. Chunk 0 chooses the victim
 // through the rotating finder, updates the remap and inverted tables, and
 // locks both pages; each chunk injects its share of the copy traffic and
-// advances the locks to its completion.
-func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
+// advances the locks to its completion. The caller has flushed the pod's
+// channels of plan, through which the remap-table bookkeeping reads
+// issue.
+func (m *MemPod) executeSwap(plan *mech.ColumnPlan, p *pod, sw schedSwap) {
 	if sw.chunk == 0 {
 		p.swapSkip = true
 		cur := p.remap.A[sw.local]
@@ -489,7 +396,7 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 					p.stats.CacheHits++
 				} else {
 					p.stats.CacheMisses++
-					t := m.backend.BookkeepingRead(p.id, block, sw.start)
+					t := m.backend.BookkeepingRead(plan, p.id, block, sw.start)
 					if t > p.lastSwapEnd {
 						p.lastSwapEnd = t
 					}
@@ -527,8 +434,9 @@ func (m *MemPod) executeSwap(p *pod, sw schedSwap) {
 // any swaps still queued from the previous epoch, reads its MEA hot set,
 // schedules up to K promotions paced evenly across the new epoch, and
 // resets its tracker. Pods migrate in parallel; swaps within a pod are
-// serial through the pod's migration driver.
-func (m *MemPod) runInterval(boundary clock.Time) {
+// serial through the pod's migration driver. plan holds no pending
+// traffic.
+func (m *MemPod) runInterval(plan *mech.ColumnPlan, boundary clock.Time) {
 	m.stats.Intervals++
 	for i := range m.pods {
 		p := &m.pods[i]
@@ -553,7 +461,7 @@ func (m *MemPod) runInterval(boundary clock.Time) {
 			if sw.start < boundary {
 				sw.start = boundary
 			}
-			m.executeSwap(p, sw)
+			m.executeSwap(plan, p, sw)
 			p.qpos++
 		}
 		p.locks.Sweep(boundary)

@@ -138,8 +138,10 @@ func TestGoldenFig7(t *testing.T) {
 }
 
 // TestGoldenFig9 pins the bookkeeping-cache sensitivity study: every
-// cache size of MemPod, THM and HMA, which chain each bookkeeping read
-// into its demand's issue time.
+// cache size of MemPod, THM and HMA. Each cache miss issues one
+// bookkeeping read through the column plan (mech.ColumnPlan.Issue) and
+// its demand is routed at the read's completion, so the table also pins
+// where those reads land among the demand columns.
 func TestGoldenFig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix")

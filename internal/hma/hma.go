@@ -109,8 +109,9 @@ type HMA struct {
 	lastSwapEnd clock.Time
 	stats       mech.MigStats
 
-	// plan is non-nil only while AccessColumn is mid-span: drained chunks
-	// flush the channels they touch through it before issuing.
+	// plan is the backend's column plan, which AccessColumn routes
+	// through: drained chunks and counter-cache misses flush the channels
+	// they touch through it before issuing.
 	plan *mech.ColumnPlan
 
 	// Boundary-pass scratch, reused across intervals.
@@ -128,7 +129,8 @@ type HMA struct {
 }
 
 // swapChunks paces each page copy as 8 chunks of 4 line-pairs so the OS
-// copy loop interleaves with demand traffic (see mech.SwapGlobalChunk).
+// copy loop interleaves with demand traffic (see
+// mech.Backend.SwapGlobalChunkPlanned).
 const swapChunks = 8
 
 const linesPerChunk = addr.LinesPerPage / swapChunks
@@ -166,6 +168,7 @@ func New(cfg Config, b *mech.Backend) (*HMA, error) {
 		inverted: tab.NewU32(int(l.FastPages())),
 		warmSet:  tab.NewEpochSet(int(l.FastPages())),
 		next:     cfg.Interval,
+		plan:     b.Plan(),
 	}
 	if cfg.CounterBits >= 16 {
 		h.counterMax = ^uint16(0)
@@ -207,78 +210,19 @@ func (h *HMA) Release() {
 	h.counters, h.remap, h.inverted, h.warmSet = nil, nil, nil, nil
 }
 
-// Access implements mech.Mechanism.
-func (h *HMA) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := uint32(addr.PageOf(addr.Addr(r.Addr)))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return h.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism. The page and line come
-// from the plane; for un-remapped pages (the identity mapping, most of
-// the trace) the plane's precomputed home channel/row services the access
-// directly, and only migrated pages re-derive HomeFrame(slot) at runtime.
-func (h *HMA) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return h.access(r, uint32(d.Page), int(d.Line), at, d)
-}
-
-func (h *HMA) access(r *trace.Request, page uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
-	for at >= h.next {
-		h.runInterval(h.next)
-		h.next += h.cfg.Interval
-	}
-	if h.qpos < len(h.queue) && h.queue[h.qpos].start <= at {
-		h.drain(at)
-	}
-
-	start := at
-	if h.touch.Touch(r.Core, uint64(page)) {
-		if c := h.counters.A[page]; c < h.counterMax {
-			h.counters.Set(page, c, c+1)
-		}
-	}
-	if h.cache != nil {
-		block := uint64(page) / countersPerBlock
-		if h.cache.Access(block) {
-			h.stats.CacheHits++
-		} else {
-			h.stats.CacheMisses++
-			start = h.backend.BookkeepingRead(int(uint64(page)%uint64(h.layout.NumPods)), block, start)
-		}
-	}
-	var lockEnd clock.Time
-	if end := h.locks.GetActive(uint64(page), start); end != 0 {
-		lockEnd = end
-		h.stats.LockStalls++
-	}
-	slot := addr.Page(h.remap.A[page])
-	if d != nil && uint64(slot) == uint64(page) {
-		// Identity remap: the plane already resolved the home location.
-		return clock.Max(h.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
-	}
-	pod, f := h.geom.HomeFrame(slot)
-	return clock.Max(h.backend.Line(pod, f, li, r.Write, start), lockEnd)
-}
-
 // AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns, flushed fully at
 // interval boundaries and channel-scoped at queue drains (a drained
-// chunk touches exactly two channels; see executeSwap) — the only
-// places HMA injects immediate channel traffic. The counter-cache
-// configuration chains bookkeeping reads into demand issue times, so it
-// keeps the per-request path.
+// chunk touches exactly two channels; see executeSwap) and at
+// counter-cache misses, whose bookkeeping read the demand waits for
+// (mech.ColumnPlan.Issue) — the only places HMA injects immediate
+// channel traffic. For un-remapped pages (the identity mapping, most of
+// the trace) the plane's precomputed home channel/row routes the access;
+// only migrated pages re-derive HomeFrame(slot).
 func (h *HMA) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if h.cache != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = h.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := h.backend.Plan()
+	plan := h.plan
 	plan.Begin(done)
-	h.plan = plan
+	dec := sc.Dec
 	for i := range dec {
 		d := &dec[i]
 		t := at[i]
@@ -298,6 +242,15 @@ func (h *HMA) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 				h.counters.Set(page, c, c+1)
 			}
 		}
+		if h.cache != nil {
+			block := uint64(page) / countersPerBlock
+			if h.cache.Access(block) {
+				h.stats.CacheHits++
+			} else {
+				h.stats.CacheMisses++
+				t = h.backend.BookkeepingRead(plan, int(uint64(page)%uint64(h.layout.NumPods)), block, t)
+			}
+		}
 		var lockEnd clock.Time
 		if end := h.locks.GetActive(uint64(page), t); end != 0 {
 			lockEnd = end
@@ -312,7 +265,6 @@ func (h *HMA) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 			plan.Route(ch, row, sc.Write(i), t, int32(i))
 		}
 	}
-	h.plan = nil
 	plan.Flush()
 }
 
@@ -448,9 +400,8 @@ func (h *HMA) executeSwap(sw queuedSwap) {
 	if h.swapSkip {
 		return
 	}
-	// Chunks issue at their paced schedule (see core.executeSwap). On the
-	// column path (h.plan non-nil) the chunk flushes just the two channels
-	// it touches before issuing.
+	// Chunks issue at their paced schedule (see core.executeSwap). The
+	// chunk flushes just the two channels it touches before issuing.
 	lo := int(sw.chunk) * linesPerChunk
 	end := h.backend.SwapGlobalChunkPlanned(h.plan, addr.Page(h.swapOld), addr.Page(sw.victim),
 		lo, lo+linesPerChunk, sw.start)

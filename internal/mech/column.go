@@ -17,8 +17,11 @@ import (
 //
 // The routing mechanism must Flush before any event that injects channel
 // traffic outside the plan — interval boundaries, migration-queue drains,
-// triggered swaps, bookkeeping reads — so that traffic observes exactly
-// the channel state it would have seen on the per-request path.
+// triggered swaps — so that traffic observes exactly the channel state it
+// would have seen in the per-request order (spans of one request). A
+// read that a demand waits for (a bookkeeping-cache miss, an LLP
+// misprediction probe) goes through Issue, which flushes its one channel
+// itself.
 //
 // A plan is single-goroutine state. The serial engine path shares one
 // plan per backend (Backend.Plan); the pod-parallel path gives each
@@ -27,7 +30,6 @@ import (
 type ColumnPlan struct {
 	sys  *memsys.System
 	cols [][]dram.BatchReq
-	used []int32
 	done []clock.Time
 }
 
@@ -46,11 +48,7 @@ func NewColumnPlan(sys *memsys.System) *ColumnPlan {
 	for ch := range cols {
 		cols[ch] = flat[ch*colCap : ch*colCap : (ch+1)*colCap]
 	}
-	return &ColumnPlan{
-		sys:  sys,
-		cols: cols,
-		used: make([]int32, 0, nch),
-	}
+	return &ColumnPlan{sys: sys, cols: cols}
 }
 
 // Begin starts a new span: routed completions are folded into done by
@@ -61,11 +59,7 @@ func (p *ColumnPlan) Begin(done []clock.Time) { p.done = done }
 // Route appends one demand access to its channel's pending column.
 // idx is the request's index into the done column given to Begin.
 func (p *ColumnPlan) Route(ch int, row uint64, write bool, at clock.Time, idx int32) {
-	col := p.cols[ch]
-	if len(col) == 0 {
-		p.used = append(p.used, int32(ch))
-	}
-	p.cols[ch] = append(col, dram.BatchReq{Row: row, At: at, Idx: idx, Write: write})
+	p.cols[ch] = append(p.cols[ch], dram.BatchReq{Row: row, At: at, Idx: idx, Write: write})
 }
 
 // smallColumn is the column length below which Flush services requests
@@ -77,72 +71,60 @@ func (p *ColumnPlan) Route(ch int, row uint64, write bool, at clock.Time, idx in
 // bit-identical by construction, so the threshold is purely a speed knob.
 const smallColumn = 8
 
-// flushCol services one channel's pending column and resets it; the
-// caller maintains the used list.
-func (p *ColumnPlan) flushCol(ch int32) {
+// FlushChannel services channel ch's pending column, if any, and resets
+// it. Most mid-span events hit channels with nothing pending (drain
+// traffic clusters on a couple of channels while demand spreads over all
+// of them), so the empty case returns at once.
+func (p *ColumnPlan) FlushChannel(ch int) {
 	col := p.cols[ch]
+	if len(col) == 0 {
+		return
+	}
 	done := p.done
 	if len(col) < smallColumn {
 		for i := range col {
 			r := &col[i]
-			if fin := p.sys.AccessChannel(int(ch), r.Row, r.Write, r.At); fin > done[r.Idx] {
+			if fin := p.sys.AccessChannel(ch, r.Row, r.Write, r.At); fin > done[r.Idx] {
 				done[r.Idx] = fin
 			}
 		}
 	} else {
-		p.sys.AccessChannelBatch(int(ch), col, done)
+		p.sys.AccessChannelBatch(ch, col, done)
 	}
 	p.cols[ch] = col[:0]
+}
+
+// Issue services one access on channel ch at once and returns its
+// completion: the chained read a demand waits for before it is routed
+// (a bookkeeping-cache miss, CAMEO's LLP misprediction probe). It first
+// flushes ch's pending column, so the channel still sees its own
+// requests in routed order — the per-request interleaving — while every
+// other channel keeps accumulating.
+func (p *ColumnPlan) Issue(ch int, row uint64, write bool, at clock.Time) clock.Time {
+	p.FlushChannel(ch)
+	return p.sys.AccessChannel(ch, row, write, at)
 }
 
 // Flush services every pending column and empties the plan. Channel
 // order across columns is irrelevant (channels are independent); within
 // a column, requests run in routed order.
 func (p *ColumnPlan) Flush() {
-	for _, ch := range p.used {
-		p.flushCol(ch)
+	for ch := range p.cols {
+		p.FlushChannel(ch)
 	}
-	p.used = p.used[:0]
 }
 
 // FlushRange services only the pending columns of channels in [lo, hi),
 // leaving every other channel's column accumulating. A mechanism whose
 // mid-span event injects traffic onto a known channel subset (a pod's
-// migration drain, a paced swap chunk) flushes just that subset: the
-// pending demand on those channels is serviced first — exactly the
-// per-request interleaving — while unrelated channels keep building
-// long columns instead of being shredded into slivers at every event.
-// Bit-identical to a full Flush because channels share no state.
+// migration drain) flushes just that subset: the pending demand on those
+// channels is serviced first — exactly the per-request interleaving —
+// while unrelated channels keep building long columns instead of being
+// shredded into slivers at every event. Bit-identical to a full Flush
+// because channels share no state.
 func (p *ColumnPlan) FlushRange(lo, hi int) {
-	for i := 0; i < len(p.used); {
-		ch := p.used[i]
-		if int(ch) < lo || int(ch) >= hi {
-			i++
-			continue
-		}
-		p.flushCol(ch)
-		last := len(p.used) - 1
-		p.used[i] = p.used[last]
-		p.used = p.used[:last]
-	}
-}
-
-// FlushChannel services channel ch's pending column only. Most mid-span
-// events hit channels with nothing pending (drain traffic clusters on a
-// couple of channels while demand spreads over all of them), so the
-// empty case returns before touching the used list.
-func (p *ColumnPlan) FlushChannel(ch int) {
-	if len(p.cols[ch]) == 0 {
-		return
-	}
-	p.flushCol(int32(ch))
-	for i, u := range p.used {
-		if int(u) == ch {
-			last := len(p.used) - 1
-			p.used[i] = p.used[last]
-			p.used = p.used[:last]
-			break
-		}
+	for ch := lo; ch < hi; ch++ {
+		p.FlushChannel(ch)
 	}
 }
 

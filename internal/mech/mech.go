@@ -1,11 +1,14 @@
 // Package mech defines the common machinery of hybrid-memory management
 // mechanisms: the Mechanism interface the simulation engine drives, the
-// Backend that issues physical requests into the memory system, and the
-// set-associative cache model used for bookkeeping state (§6.3.3).
+// Backend that issues physical requests into the memory system, the
+// ColumnPlan that gathers a span's demand accesses into per-channel
+// columns, and the set-associative cache model used for bookkeeping
+// state (§6.3.3).
 //
 // The concrete mechanisms live in their own packages: internal/core
-// (MemPod), internal/hma, internal/thm and internal/cameo; this package
-// also provides the static (no-migration and single-level) references.
+// (MemPod), internal/hma, internal/thm, internal/cameo and
+// internal/migrant; this package also provides the static (no-migration
+// and single-level) references.
 package mech
 
 import (
@@ -14,26 +17,20 @@ import (
 )
 
 // Mechanism is a memory-management scheme under evaluation. The engine
-// services requests in non-decreasing time order; the mechanism routes
-// each one (after any translation, bookkeeping traffic, interval
-// processing or migration stalling it models) and returns the completion
-// time. The three access methods are one service in three shapes, and
-// must be bit-identical to one another: the same completions and the same
-// mechanism and channel state afterwards, whichever sequence of them
-// serviced a trace.
+// hands it requests in non-decreasing time order, span by span; the
+// mechanism routes each one (after any translation, bookkeeping traffic,
+// interval processing or migration stalling it models) and reports the
+// completion time. Each mechanism writes its access logic once, in
+// AccessColumn: a span of one request is the per-request service, and
+// any longer span must be bit-identical to servicing its requests one
+// span at a time — the same completions and the same mechanism and
+// channel state afterwards.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
-	// Access services one demand request arriving at time `at` and
-	// returns its completion time (> at).
-	Access(r *trace.Request, at clock.Time) clock.Time
-	// AccessDecoded is Access with the request's address decomposition
-	// already computed (d describes r.Addr under the backend's layout,
-	// as a trace predecode plane entry).
-	AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time
 	// AccessColumn services span request i (decoded as sc.Dec[i]) issued
-	// at at[i], writing each completion into done[i] — the engine's only
-	// production entry point. Mechanisms gather the span's demand
+	// at at[i], writing each completion (> at[i]) into done[i] — the
+	// engine's one entry point. Mechanisms gather the span's demand
 	// accesses into per-channel columns (ColumnPlan). at and done are
 	// parallel to the span and caller-owned; every done[i] is
 	// (re)written.
@@ -85,10 +82,10 @@ type PodSharded interface {
 	// segment (see ShardedColumn) with the cross-pod work hoisted out:
 	// the caller has already advanced boundaries (so no interval check)
 	// and consulted the shared touch filter (sc.Touched carries its
-	// answers). It must be bit-identical to the AccessDecoded calls for
-	// the owned requests in order, and may only read and write state of
-	// the worker's pods — the worker-private plan keeps the routed
-	// channel traffic inside them.
+	// answers). It must be bit-identical to AccessColumn over the owned
+	// requests in order, and may only read and write state of the
+	// worker's pods — the worker-private plan keeps the routed channel
+	// traffic inside them.
 	AccessShardedColumn(sc *ShardedColumn)
 }
 

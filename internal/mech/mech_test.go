@@ -8,33 +8,11 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dram"
 	"repro/internal/memsys"
-	"repro/internal/trace"
 )
 
 func testBackend(t *testing.T) *Backend {
 	t.Helper()
 	return NewBackend(memsys.MustNew(addr.DefaultLayout(), dram.HBM(), dram.DDR4_1600()))
-}
-
-func TestStaticRoutesHome(t *testing.T) {
-	b := testBackend(t)
-	s := NewStatic("TLM", b)
-	if s.Name() != "TLM" {
-		t.Fatal("name")
-	}
-	fast := &trace.Request{Addr: 0}
-	slow := &trace.Request{Addr: 2 << 30}
-	f := s.Access(fast, 0)
-	sl := s.Access(slow, 0)
-	if f >= sl {
-		t.Errorf("fast home access %v not faster than slow %v", f, sl)
-	}
-	if b.Sys.FastStats().Accesses() != 1 || b.Sys.SlowStats().Accesses() != 1 {
-		t.Error("requests routed to wrong levels")
-	}
-	if s.Stats() != (MigStats{}) {
-		t.Error("static mechanism reported migrations")
-	}
 }
 
 func TestSwapPagesMovesWholePages(t *testing.T) {
@@ -75,7 +53,7 @@ func TestSwapLines(t *testing.T) {
 
 func TestBookkeepingReadTargetsFast(t *testing.T) {
 	b := testBackend(t)
-	done := b.BookkeepingRead(2, 12345, 0)
+	done := b.BookkeepingRead(b.Plan(), 2, 12345, 0)
 	if done <= 0 {
 		t.Fatal("no read issued")
 	}
@@ -86,7 +64,7 @@ func TestBookkeepingReadTargetsFast(t *testing.T) {
 	slowOnly := NewBackend(memsys.MustNew(
 		addr.Layout{SlowBytes: 9 << 30, SlowChannels: 4, NumPods: 4},
 		dram.HBM(), dram.DDR4_1600()))
-	if slowOnly.BookkeepingRead(0, 7, 0) <= 0 {
+	if slowOnly.BookkeepingRead(slowOnly.Plan(), 0, 7, 0) <= 0 {
 		t.Error("slow-only bookkeeping read failed")
 	}
 }

@@ -77,7 +77,8 @@ func (c Config) Validate() error {
 }
 
 // swapChunks paces each page copy as 8 chunks of 4 line-pairs, the same
-// OS copy-loop pacing HMA models (see mech.Backend.SwapGlobalChunk).
+// OS copy-loop pacing HMA models (see
+// mech.Backend.SwapGlobalChunkPlanned).
 const swapChunks = 8
 
 const linesPerChunk = addr.LinesPerPage / swapChunks
@@ -119,8 +120,9 @@ type Migrant struct {
 	lastSwapEnd clock.Time
 	stats       mech.MigStats
 
-	// plan is non-nil only while AccessColumn is mid-span: drained chunks
-	// flush the channels they touch through it before issuing.
+	// plan is the backend's column plan, which AccessColumn routes
+	// through: drained chunks flush the channels they touch through it
+	// before issuing.
 	plan *mech.ColumnPlan
 
 	// In-flight swap state across its chunks.
@@ -148,6 +150,7 @@ func New(cfg Config, b *mech.Backend) (*Migrant, error) {
 		inverted: tab.NewU32(int(l.FastPages())),
 		targeted: tab.NewEpochSet(int(l.FastPages())),
 		next:     cfg.Epoch,
+		plan:     b.Plan(),
 	}
 	if cfg.CounterBits >= 16 {
 		m.counterMax = ^uint16(0)
@@ -187,55 +190,16 @@ func (m *Migrant) Release() {
 	m.counters, m.remap, m.inverted, m.targeted = nil, nil, nil, nil
 }
 
-// Access implements mech.Mechanism.
-func (m *Migrant) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := uint32(addr.PageOf(addr.Addr(r.Addr)))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return m.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism: identity-remapped pages
-// (most of the trace) service at the plane's precomputed home location.
-func (m *Migrant) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return m.access(r, uint32(d.Page), int(d.Line), at, d)
-}
-
-func (m *Migrant) access(r *trace.Request, page uint32, li int, at clock.Time, d *trace.Decoded) clock.Time {
-	for at >= m.next {
-		m.runEpoch(m.next)
-		m.next += m.cfg.Epoch
-	}
-	if m.qpos < len(m.queue) && m.queue[m.qpos].start <= at {
-		m.drain(at)
-	}
-
-	if m.touch.Touch(r.Core, uint64(page)) {
-		m.observe(page, at)
-	}
-	var lockEnd clock.Time
-	if end := m.locks.GetActive(uint64(page), at); end != 0 {
-		lockEnd = end
-		m.stats.LockStalls++
-	}
-	slot := addr.Page(m.remap.A[page])
-	if d != nil && uint64(slot) == uint64(page) {
-		// Identity remap: the plane already resolved the home location.
-		return clock.Max(m.backend.LineAt(d.Chan, d.Row, r.Write, at), lockEnd)
-	}
-	pod, f := m.geom.HomeFrame(slot)
-	return clock.Max(m.backend.Line(pod, f, li, r.Write, at), lockEnd)
-}
-
 // AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns, flushed fully at
 // epoch boundaries and channel-scoped at queue drains (a drained chunk
 // touches exactly two channels; see executeSwap) — the only places the
-// policy injects immediate channel traffic.
+// policy injects immediate channel traffic. Identity-remapped pages (most
+// of the trace) route at the plane's precomputed home location.
 func (m *Migrant) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 	dec := sc.Dec
-	plan := m.backend.Plan()
+	plan := m.plan
 	plan.Begin(done)
-	m.plan = plan
 	for i := range dec {
 		d := &dec[i]
 		t := at[i]
@@ -267,7 +231,6 @@ func (m *Migrant) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 			plan.Route(ch, row, sc.Write(i), t, int32(i))
 		}
 	}
-	m.plan = nil
 	plan.Flush()
 }
 
@@ -399,8 +362,8 @@ func (m *Migrant) executeSwap(sw queuedSwap) {
 		return
 	}
 	// The OS copy crosses the global switch between the two slots'
-	// channels; on the column path (m.plan non-nil) the chunk flushes
-	// just the channels it touches before issuing.
+	// channels; the chunk flushes just the channels it touches before
+	// issuing.
 	lo := int(sw.chunk) * linesPerChunk
 	end := m.backend.SwapGlobalChunkPlanned(m.plan, addr.Page(m.swapOld), addr.Page(sw.victim),
 		lo, lo+linesPerChunk, sw.start)

@@ -57,12 +57,6 @@ func (f *faultyMech) service(at clock.Time) clock.Time {
 	return at + 40*clock.Nanosecond
 }
 
-func (f *faultyMech) Access(_ *trace.Request, at clock.Time) clock.Time { return f.service(at) }
-
-func (f *faultyMech) AccessDecoded(_ *trace.Request, _ *trace.Decoded, at clock.Time) clock.Time {
-	return f.service(at)
-}
-
 func (f *faultyMech) AccessColumn(_ *trace.SpanColumns, at, done []clock.Time) {
 	for i := range at {
 		done[i] = f.service(at[i])
@@ -97,16 +91,12 @@ func (f *fakeColumns) NextSpan(max int) trace.SpanColumns {
 // same partial Result.
 func errorCase(t *testing.T, label string, times []clock.Time, bad, window int) {
 	t.Helper()
-	reqs := make([]trace.Request, len(times))
-	for i, at := range times {
-		reqs[i] = trace.Request{Addr: uint64(i) * 64, Time: at}
-	}
 	newEngine := func() *Engine {
 		e := New(newBackend(), &faultyMech{bad: bad})
 		e.Window = window
 		return e
 	}
-	refRes, refErr := newEngine().runOracle("bad", trace.NewSliceStream(reqs), nil)
+	refRes, refErr := newEngine().runOracle("bad", &fakeColumns{times: times, columns: true})
 	res, err := newEngine().Run("bad", &fakeColumns{times: times, columns: true})
 	if refErr == nil || err == nil {
 		t.Fatalf("%s: violation accepted (oracle err %v, engine err %v)", label, refErr, err)

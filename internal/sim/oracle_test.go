@@ -11,14 +11,15 @@ import (
 )
 
 // runOracle is the differential oracle: a per-request replay loop that
-// exists only in test code. Each request issues at the later of its
-// arrival and the completion of the request `window` back, and is
-// serviced through Access — or through AccessDecoded with plane[i] when a
-// predecode plane is given. The loop stops at the first order or
+// exists only in test code. It pulls one-request spans; each request
+// issues at the later of its arrival and the completion of the request
+// `window` back, and is serviced through AccessColumn as a span of its
+// own, which flushes after the request — the per-request interleaving
+// that longer spans must reproduce. The loop stops at the first order or
 // contract violation with the tallies accumulated so far, which is
 // exactly the error text and partial Result the production loops must
 // reproduce.
-func (e *Engine) runOracle(workload string, s trace.Stream, plane []trace.Decoded) (stats.Result, error) {
+func (e *Engine) runOracle(workload string, cs trace.ColumnStream) (stats.Result, error) {
 	window := e.Window
 	if window == 0 {
 		window = DefaultWindow
@@ -26,40 +27,40 @@ func (e *Engine) runOracle(workload string, s trace.Stream, plane []trace.Decode
 	ring := e.resetRing(window)
 	res := stats.Result{Workload: workload, Mechanism: e.m.Name()}
 	var acc stats.Accum
-	var r trace.Request
 	var lastArrival clock.Time
+	at, done := make([]clock.Time, 1), make([]clock.Time, 1)
 	ringPos := 0
-	for i := 0; s.Next(&r); i++ {
-		if r.Time < lastArrival {
+	for {
+		sc := cs.NextSpan(1)
+		if sc.Len() == 0 {
+			break
+		}
+		arrival := sc.Times[0]
+		if arrival < lastArrival {
 			acc.FlushTo(&res)
 			return res, fmt.Errorf("sim: trace out of order at request %d (%v < %v)",
-				acc.Requests, r.Time, lastArrival)
+				acc.Requests, arrival, lastArrival)
 		}
-		lastArrival = r.Time
-		at := r.Time
+		lastArrival = arrival
+		at[0] = arrival
 		if ring != nil {
-			if gate := ring[ringPos]; gate > at {
-				at = gate
+			if gate := ring[ringPos]; gate > at[0] {
+				at[0] = gate
 			}
 		}
-		var done clock.Time
-		if plane != nil {
-			done = e.m.AccessDecoded(&r, &plane[i], at)
-		} else {
-			done = e.m.Access(&r, at)
-		}
-		if done <= at {
+		e.m.AccessColumn(&sc, at, done)
+		if done[0] <= at[0] {
 			acc.FlushTo(&res)
 			return res, fmt.Errorf("sim: mechanism %s returned completion %v <= issue %v",
-				e.m.Name(), done, at)
+				e.m.Name(), done[0], at[0])
 		}
 		if ring != nil {
-			ring[ringPos] = done
+			ring[ringPos] = done[0]
 			if ringPos++; ringPos == window {
 				ringPos = 0
 			}
 		}
-		acc.Note(r.Time, done)
+		acc.Note(arrival, done[0])
 	}
 	acc.FlushTo(&res)
 	e.finish(&res)
@@ -111,7 +112,6 @@ type pathRun struct {
 type enginePaths struct {
 	t      *testing.T
 	name   string
-	reqs   []trace.Request
 	snap   *trace.Snapshot
 	newSys func() *mech.Backend
 	build  func(b *mech.Backend) mech.Mechanism
@@ -134,20 +134,11 @@ func (p enginePaths) run(label string, shards int, f func(e *Engine) (stats.Resu
 	return pathRun{label, res, e.ColumnSpans(), e.ParallelBlocks(), touchState(m), sharded}
 }
 
-// oracle runs the test-only per-request loop through Access, or through
-// AccessDecoded over the snapshot's plane.
-func (p enginePaths) oracle(decoded bool) pathRun {
+// oracle runs the test-only per-request loop over the snapshot.
+func (p enginePaths) oracle() pathRun {
 	p.t.Helper()
-	label := "oracle(Access)"
-	if decoded {
-		label = "oracle(AccessDecoded)"
-	}
-	return p.run(label, 0, func(e *Engine) (stats.Result, error) {
-		var plane []trace.Decoded
-		if decoded {
-			plane = p.snap.Plane(&e.backend.Geom)
-		}
-		return e.runOracle(p.name, trace.NewSliceStream(p.reqs), plane)
+	return p.run("oracle", 0, func(e *Engine) (stats.Result, error) {
+		return e.runOracle(p.name, p.snap.DecodedStream(&e.backend.Geom))
 	})
 }
 
@@ -159,39 +150,35 @@ func (p enginePaths) production(snap *trace.Snapshot, label string, shards int) 
 	})
 }
 
-// check replays the trace through the oracle (Access and AccessDecoded),
-// the production column loop, and Run at each given shard count, and
-// requires every run to match oracle(Access) field by field, touch-filter
-// state included. Production runs must have serviced spans through the
-// column entry points; forced shard counts must take the pod-parallel
-// path exactly when the mechanism is pod-sharded. It returns the
-// reference run.
+// check replays the trace through the oracle, the production column
+// loop, and Run at each given shard count, and requires every run to
+// match the oracle field by field, touch-filter state included.
+// Production runs must have serviced spans through the column entry
+// points; forced shard counts must take the pod-parallel path exactly
+// when the mechanism is pod-sharded. It returns the reference run.
 func (p enginePaths) check(label string, shards ...int) pathRun {
 	p.t.Helper()
-	ref := p.oracle(false)
-	if ref.res.Requests != uint64(len(p.reqs)) {
-		p.t.Fatalf("%s: oracle replayed %d requests, want %d", label, ref.res.Requests, len(p.reqs))
+	ref := p.oracle()
+	if ref.res.Requests != uint64(p.snap.Len()) {
+		p.t.Fatalf("%s: oracle replayed %d requests, want %d", label, ref.res.Requests, p.snap.Len())
 	}
 	if !ref.sharded && len(shards) > 1 {
 		// One forced count suffices to show the run stays serial.
 		shards = shards[:1]
 	}
-	runs := []pathRun{p.oracle(true), p.production(p.snap, "columns", 0)}
+	runs := []pathRun{p.production(p.snap, "columns", 0)}
 	for _, n := range shards {
 		runs = append(runs, p.production(p.snap, fmt.Sprintf("shards=%d", n), n))
 	}
 	for i, r := range runs {
-		diffResults(p.t, label+" "+r.label+" vs oracle(Access)", r.res, ref.res)
+		diffResults(p.t, label+" "+r.label+" vs oracle", r.res, ref.res)
 		if (r.touch == nil) != (ref.touch == nil) || (r.touch != nil && *r.touch != *ref.touch) {
-			p.t.Errorf("%s %s: touch filter state diverged from oracle(Access)", label, r.label)
-		}
-		if i == 0 {
-			continue
+			p.t.Errorf("%s %s: touch filter state diverged from the oracle", label, r.label)
 		}
 		if r.spans == 0 {
 			p.t.Errorf("%s %s: never serviced a span through the column entry points", label, r.label)
 		}
-		wantParallel := i > 1 && ref.sharded
+		wantParallel := i > 0 && ref.sharded
 		if got := r.blocks != 0; got != wantParallel {
 			p.t.Errorf("%s %s: pod-parallel path taken = %v, want %v (%d blocks)",
 				label, r.label, got, wantParallel, r.blocks)

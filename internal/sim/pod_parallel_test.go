@@ -13,7 +13,7 @@ import (
 
 // podParallelCases are the mechanisms that actually take the pod-parallel
 // path (mech.PodSharded). The cache variant exercises the bookkeeping
-// cache + BookkeepingRead branch, which the paper-default config leaves
+// cache and its chained reads, which the paper-default config leaves
 // off.
 var podParallelCases = []struct {
 	name  string
@@ -33,8 +33,8 @@ var podParallelCases = []struct {
 }
 
 // TestPodParallelBitIdentical is pod-parallel's differential guarantee:
-// for every mechanism, replaying one trace through the test-only oracle
-// (Access and AccessDecoded), the serial column loop and the pod-parallel
+// for every mechanism, replaying one trace through the test-only
+// per-request oracle, the serial column loop and the pod-parallel
 // path (workers forced on, whatever GOMAXPROCS is) must produce
 // field-identical Results — and leave the mechanisms' shared touch
 // filters in identical states. Mechanisms that are not pod-sharded (HMA,
@@ -49,11 +49,10 @@ func TestPodParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := trace.Collect(w.MustStream(n, 11))
-	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
+	snap := trace.Record(w.MustStream(n, 11), n)
 	defer snap.Release()
 	paths := func(t *testing.T, build func(b *mech.Backend) mech.Mechanism, window int) enginePaths {
-		return enginePaths{t: t, name: w.Name, reqs: reqs, snap: snap,
+		return enginePaths{t: t, name: w.Name, snap: snap,
 			newSys: newBackend, build: build, window: window}
 	}
 
@@ -71,8 +70,8 @@ func TestPodParallelBitIdentical(t *testing.T) {
 	// window 32 makes blocks small (many wavefronts, boundary crossings
 	// land mid-block), -1 removes gating entirely (unlimited-block path),
 	// and 3 workers assigns pods unevenly (pod 3 shares worker 0). The
-	// cache variant exercises the bookkeeping cache's per-request
-	// fallback inside the sharded column entry point.
+	// cache variant chains bookkeeping reads through the worker-private
+	// plans.
 	for _, mc := range podParallelCases {
 		mc := mc
 		for _, window := range []int{0, 32, -1} {
@@ -107,7 +106,8 @@ func TestPodParallelRejectsUnorderedTrace(t *testing.T) {
 		e.Shards = shards
 		return e
 	}
-	refRes, refErr := newEngine(0).runOracle(w.Name, trace.NewSliceStream(reqs), nil)
+	ref := newEngine(0)
+	refRes, refErr := ref.runOracle(w.Name, snap.DecodedStream(&ref.backend.Geom))
 	if refErr == nil {
 		t.Fatal("oracle accepted the unordered trace")
 	}

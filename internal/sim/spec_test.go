@@ -54,8 +54,7 @@ func TestSpecPresetBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := trace.Collect(w.MustStream(n, 11))
-	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
+	snap := trace.Record(w.MustStream(n, 11), n)
 	defer snap.Release()
 
 	run := func(fast, slow dram.Spec, mc func(b *mech.Backend) mech.Mechanism) stats.Result {
@@ -89,8 +88,7 @@ func specPair(preset string) (fast, slow dram.Spec) {
 
 // checkAcrossSpecs holds one mechanism to the engine's differential bar
 // on every preset the registry ships, at the default, a narrow and an
-// unlimited window: the oracle (Access and AccessDecoded), the production
-// column loop and pod-parallel at 2–4 shards must agree field by field,
+// unlimited window: the per-request oracle, the production column loop and pod-parallel at 2–4 shards must agree field by field,
 // touch-filter state included — on the presets with non-default row
 // geometry (LPDDR5, NVM), write asymmetry (NVM) and link latency (CXL)
 // too.
@@ -99,8 +97,7 @@ func checkAcrossSpecs(t *testing.T, mc func(b *mech.Backend) mech.Mechanism, nam
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := trace.Collect(w.MustStream(n, 11))
-	snap := trace.Record(trace.NewSliceStream(reqs), len(reqs))
+	snap := trace.Record(w.MustStream(n, 11), n)
 	defer snap.Release()
 
 	for _, preset := range dram.PresetNames() {
@@ -109,7 +106,7 @@ func checkAcrossSpecs(t *testing.T, mc func(b *mech.Backend) mech.Mechanism, nam
 			return mech.NewBackend(memsys.MustNew(addr.DefaultLayout(), fast, slow))
 		}
 		for _, window := range []int{0, 32, -1} {
-			p := enginePaths{t: t, name: w.Name, reqs: reqs, snap: snap,
+			p := enginePaths{t: t, name: w.Name, snap: snap,
 				newSys: newSys, build: mc, window: window}
 			p.check(fmt.Sprintf("%s %s/window=%d", name, preset, window), 2, 3, 4)
 		}

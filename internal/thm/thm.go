@@ -152,7 +152,8 @@ func releaseSegs(a *segArena) {
 const segmentsPerBlock = 10
 
 // Swap copies are issued in paced chunks so they interleave with demand
-// traffic at the memory controllers (see mech.SwapGlobalChunk).
+// traffic at the memory controllers (see
+// mech.Backend.SwapGlobalChunkPlanned).
 const (
 	swapChunks    = 8
 	linesPerChunk = addr.LinesPerPage / swapChunks
@@ -240,8 +241,9 @@ type THM struct {
 
 	queue chunkQueue
 
-	// plan is non-nil only while AccessColumn is mid-span: drain flushes
-	// the affected channels through it before injecting copy traffic.
+	// plan is the backend's column plan, which AccessColumn routes
+	// through: drain and SRT-cache misses flush the affected channels
+	// through it before injecting traffic.
 	plan *mech.ColumnPlan
 }
 
@@ -276,6 +278,7 @@ func New(cfg Config, b *mech.Backend) (*THM, error) {
 		fast:     uint64(l.FastPages()),
 		dFast:    addr.NewDivisor(uint64(l.FastPages())),
 		maxCount: uint8(1)<<cfg.CounterBits - 1,
+		plan:     b.Plan(),
 	}
 	if cfg.CacheBytes > 0 {
 		if cfg.CacheWays <= 0 {
@@ -338,112 +341,48 @@ func (t *THM) pageOf(seg uint64, member int) addr.Page {
 	return addr.Page(t.fast + seg + uint64(member-1)*t.fast)
 }
 
-// Access implements mech.Mechanism.
-func (t *THM) Access(r *trace.Request, at clock.Time) clock.Time {
-	page := addr.PageOf(addr.Addr(r.Addr))
-	li := int(uint64(addr.LineOf(addr.Addr(r.Addr))) % addr.LinesPerPage)
-	return t.access(r, page, li, at, nil)
-}
-
-// AccessDecoded implements mech.Mechanism. THM segments the flat
-// page space its own way, so the segment decomposition and the serviced
-// slot stay on the access path; but when the member still holds its home
-// slot (most of the trace), the plane's precomputed home channel/row
-// services the access without re-deriving HomeFrame.
-func (t *THM) AccessDecoded(r *trace.Request, d *trace.Decoded, at clock.Time) clock.Time {
-	return t.access(r, addr.Page(d.Page), int(d.Line), at, d)
-}
-
-func (t *THM) access(r *trace.Request, page addr.Page, li int, at clock.Time, d *trace.Decoded) clock.Time {
-	if len(t.queue) > 0 && t.queue[0].start <= at {
-		t.drain(at)
-	}
-	// Locks only shed entries when their page is re-accessed; compact the
-	// table occasionally using the trace clock as the expiry floor (no
-	// future request can query a lock before its own, later, trace time).
-	t.locks.MaybeCompact(r.Time)
-	seg, member := t.segmentOf(page)
-	s := &t.segments[seg]
-	if s.gen != t.gen {
-		*s = segment{gen: t.gen} // lazily materialize the zero state
-	}
-
-	start := at
-	if t.cache != nil {
-		block := seg / segmentsPerBlock
-		if t.cache.Access(block) {
-			t.stats.CacheHits++
-		} else {
-			t.stats.CacheMisses++
-			start = t.backend.BookkeepingRead(int(seg%uint64(t.layout.NumPods)), block, start)
-		}
-	}
-	var lockEnd clock.Time
-	if end := t.locks.GetActive(uint64(page), start); end != 0 {
-		lockEnd = end
-		t.stats.LockStalls++
-	}
-
-	slot := slotOfMember(t.effSlots(s), member, t.members)
-	// Competing-counter update, once per page touch; may trigger a swap
-	// *after* this access.
-	trigger := false
-	if t.touch.Touch(r.Core, uint64(page)) {
-		trigger = t.updateCounter(s, member, slot)
-	}
-
-	// Service the request at the member's current slot.
-	slotPage := t.pageOf(seg, slot)
-	var done clock.Time
-	if d != nil && slotPage == page {
-		// The member sits in its home slot: the plane already resolved
-		// the home location.
-		done = clock.Max(t.backend.LineAt(d.Chan, d.Row, r.Write, start), lockEnd)
-	} else {
-		pod, f := t.geom.HomeFrame(slotPage)
-		done = clock.Max(t.backend.Line(pod, f, li, r.Write, start), lockEnd)
-	}
-
-	if trigger {
-		t.swap(seg, s, slot, start)
-	}
-	return done
-}
-
 // AccessColumn implements mech.Mechanism: the access path with
 // demand accesses gathered into per-channel columns. THM's immediate
 // channel traffic comes from queue drains and threshold-triggered swaps
-// (which drain inline); each drained chunk flushes just the two channels
-// it touches (see drain), so pending demand there — including a
+// (which drain inline), and from SRT-cache misses, whose bookkeeping read
+// the demand waits for (mech.ColumnPlan.Issue). Each flushes just the
+// channels it touches (see drain), so pending demand there — including a
 // triggering request's own access when it shares a channel — is serviced
 // first, matching the per-request order exactly, while other channels
-// keep building columns across drains. The SRT-cache configuration
-// chains bookkeeping reads into issue times and keeps the per-request
-// path.
+// keep building columns. THM segments the flat page space its own way,
+// so the segment decomposition and the serviced slot stay on the access
+// path; but when the member still holds its home slot (most of the
+// trace), the plane's precomputed home channel/row routes the access
+// without re-deriving HomeFrame.
 func (t *THM) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
-	dec := sc.Dec
-	if t.cache != nil {
-		for i := range dec {
-			r := sc.Request(i)
-			done[i] = t.AccessDecoded(&r, &dec[i], at[i])
-		}
-		return
-	}
-	plan := t.backend.Plan()
+	plan := t.plan
 	plan.Begin(done)
-	t.plan = plan
+	dec := sc.Dec
 	for i := range dec {
 		d := &dec[i]
 		ti := at[i]
 		if len(t.queue) > 0 && t.queue[0].start <= ti {
 			t.drain(ti)
 		}
+		// Locks only shed entries when their page is re-accessed; compact
+		// the table occasionally using the trace clock as the expiry floor
+		// (no future request can query a lock before its own, later, trace
+		// time).
 		t.locks.MaybeCompact(sc.Times[i])
 		page := addr.Page(d.Page)
 		seg, member := t.segmentOf(page)
 		s := &t.segments[seg]
 		if s.gen != t.gen {
-			*s = segment{gen: t.gen}
+			*s = segment{gen: t.gen} // lazily materialize the zero state
+		}
+		if t.cache != nil {
+			block := seg / segmentsPerBlock
+			if t.cache.Access(block) {
+				t.stats.CacheHits++
+			} else {
+				t.stats.CacheMisses++
+				ti = t.backend.BookkeepingRead(plan, int(seg%uint64(t.layout.NumPods)), block, ti)
+			}
 		}
 		var lockEnd clock.Time
 		if end := t.locks.GetActive(uint64(page), ti); end != 0 {
@@ -451,10 +390,13 @@ func (t *THM) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 			t.stats.LockStalls++
 		}
 		slot := slotOfMember(t.effSlots(s), member, t.members)
+		// Competing-counter update, once per page touch; may trigger a
+		// swap *after* this access.
 		trigger := false
 		if t.touch.Touch(sc.Cores[i], uint64(page)) {
 			trigger = t.updateCounter(s, member, slot)
 		}
+		// Service the request at the member's current slot.
 		done[i] = lockEnd
 		if slotPage := t.pageOf(seg, slot); slotPage == page {
 			plan.Route(int(d.Chan), uint64(d.Row), sc.Write(i), ti, int32(i))
@@ -467,7 +409,6 @@ func (t *THM) AccessColumn(sc *trace.SpanColumns, at, done []clock.Time) {
 			t.swap(seg, s, slot, ti)
 		}
 	}
-	t.plan = nil
 	plan.Flush()
 }
 
@@ -531,10 +472,9 @@ func (t *THM) swap(seg uint64, s *segment, winnerSlot int, at clock.Time) {
 }
 
 // drain executes queued copy chunks whose start time has arrived, in
-// start order. Mid-span on the column path (t.plan non-nil) each chunk
-// flushes the two channels it is about to touch first, so its copy
-// traffic observes exactly the per-request channel state; every other
-// channel's demand column keeps accumulating.
+// start order. Each chunk flushes the two channels it is about to touch
+// first, so its copy traffic observes exactly the per-request channel
+// state; every other channel's demand column keeps accumulating.
 func (t *THM) drain(now clock.Time) {
 	for len(t.queue) > 0 && t.queue[0].start <= now {
 		c := t.queue.pop()

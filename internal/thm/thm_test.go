@@ -7,6 +7,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dram"
 	"repro/internal/mech"
+	"repro/internal/mech/mechtest"
 	"repro/internal/memsys"
 	"repro/internal/trace"
 )
@@ -71,15 +72,15 @@ func TestCompetingCounterTriggersSwap(t *testing.T) {
 	// with an unrelated segment makes each access a fresh touch.
 	for i := 0; i < 3; i++ {
 		at += clock.Microsecond
-		m.Access(&req, at)
+		mechtest.Access(m.backend, m, &req, at)
 		if m.SlotOfPage(slow) == 0 {
 			t.Fatalf("swap fired early at touch %d", i+1)
 		}
 		at += clock.Microsecond
-		m.Access(&other, at)
+		mechtest.Access(m.backend, m, &other, at)
 	}
 	at += clock.Microsecond
-	m.Access(&req, at)
+	mechtest.Access(m.backend, m, &req, at)
 	if m.SlotOfPage(slow) != 0 {
 		t.Fatal("swap did not fire at threshold")
 	}
@@ -104,9 +105,9 @@ func TestDefenderWearsChallengerDown(t *testing.T) {
 	// competing counters with).
 	for i := 0; i < 50; i++ {
 		at += clock.Microsecond
-		m.Access(&slowReq, at)
+		mechtest.Access(m.backend, m, &slowReq, at)
 		at += clock.Microsecond
-		m.Access(&fastReq, at)
+		mechtest.Access(m.backend, m, &fastReq, at)
 	}
 	if m.Stats().PageMigrations != 0 {
 		t.Fatal("alternating accesses triggered a swap")
@@ -123,9 +124,9 @@ func TestCompetingChallengersBlockEachOther(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 100; i++ {
 		at += clock.Microsecond
-		m.Access(&a, at)
+		mechtest.Access(m.backend, m, &a, at)
 		at += clock.Microsecond
-		m.Access(&b, at)
+		mechtest.Access(m.backend, m, &b, at)
 	}
 	if m.Stats().PageMigrations != 0 {
 		t.Fatal("competing challengers triggered a swap")
@@ -141,9 +142,9 @@ func TestSwappedPageServedFromFast(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 4; i++ {
 		at += 10 * clock.Microsecond
-		m.Access(&req, at)
+		mechtest.Access(m.backend, m, &req, at)
 		at += 10 * clock.Microsecond
-		m.Access(&other, at)
+		mechtest.Access(m.backend, m, &other, at)
 	}
 	if m.SlotOfPage(slow) != 0 {
 		t.Fatal("setup: page not swapped")
@@ -151,9 +152,9 @@ func TestSwappedPageServedFromFast(t *testing.T) {
 	// Well after the swap completes, accesses must be fast-memory fast.
 	// The first late access drains the remaining copy chunks; snapshot
 	// after it so only the demand access is counted.
-	m.Access(&other, 5*clock.Millisecond)
+	mechtest.Access(m.backend, m, &other, 5*clock.Millisecond)
 	before := m.backend.Sys.FastStats().Accesses()
-	m.Access(&req, 10*clock.Millisecond)
+	mechtest.Access(m.backend, m, &req, 10*clock.Millisecond)
 	if m.backend.Sys.FastStats().Accesses() != before+1 {
 		t.Fatal("access to swapped-in page did not hit fast memory")
 	}
@@ -168,16 +169,16 @@ func TestLockStallsDuringSwap(t *testing.T) {
 	at := clock.Time(0)
 	for i := 0; i < 3; i++ {
 		at += clock.Microsecond
-		m.Access(&req, at)
+		mechtest.Access(m.backend, m, &req, at)
 		at += clock.Microsecond
-		m.Access(&other, at)
+		mechtest.Access(m.backend, m, &other, at)
 	}
 	at += clock.Microsecond
-	m.Access(&req, at) // fourth touch: triggers the swap
+	mechtest.Access(m.backend, m, &req, at) // fourth touch: triggers the swap
 	// Immediately after the triggering access the page is locked by the
 	// in-flight copy chunks: the next access must record a lock stall and
 	// complete no earlier than the executed chunks.
-	done := m.Access(&req, at+clock.Nanosecond)
+	done := mechtest.Access(m.backend, m, &req, at+clock.Nanosecond)
 	if done <= at+clock.Nanosecond {
 		t.Fatalf("access during swap completed instantly: %v", done)
 	}
@@ -195,7 +196,7 @@ func TestCacheModelCounts(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		at += 100 * clock.Nanosecond
 		p := addr.Page(fast + uint64(i%3000))
-		m.Access(&trace.Request{Addr: uint64(p.Base())}, at)
+		mechtest.Access(m.backend, m, &trace.Request{Addr: uint64(p.Base())}, at)
 	}
 	st := m.Stats()
 	if st.CacheMisses == 0 || st.CacheHits+st.CacheMisses < 5000 {

@@ -150,8 +150,8 @@ func TestNextSpanMatchesNext(t *testing.T) {
 				t.Fatalf("max=%d: span of %d requests", max, n)
 			}
 			for i := 0; i < n; i++ {
-				if got := sc.Request(i); got != reqs[pos] {
-					t.Fatalf("max=%d request %d: got %+v, want %+v", max, pos, got, reqs[pos])
+				if got, want := spanRequest(&sc, i), withoutAddr(reqs[pos]); got != want {
+					t.Fatalf("max=%d request %d: got %+v, want %+v", max, pos, got, want)
 				}
 				if sc.Dec[i] != plane[pos] {
 					t.Fatalf("max=%d decoded %d: got %+v, want %+v", max, pos, sc.Dec[i], plane[pos])
@@ -172,8 +172,8 @@ func TestNextSpanMatchesNext(t *testing.T) {
 	}
 	sc := ss.NextSpan(16)
 	for i := 0; i < sc.Len(); i++ {
-		if got := sc.Request(i); got != reqs[10+i] {
-			t.Fatalf("mixed cursor request %d: got %+v, want %+v", 10+i, got, reqs[10+i])
+		if got, want := spanRequest(&sc, i), withoutAddr(reqs[10+i]); got != want || sc.Dec[i] != plane[10+i] {
+			t.Fatalf("mixed cursor request %d: got %+v %+v, want %+v %+v", 10+i, got, sc.Dec[i], want, plane[10+i])
 		}
 	}
 	if !ss.Next(&r) || r != reqs[10+sc.Len()] {
@@ -184,6 +184,20 @@ func TestNextSpanMatchesNext(t *testing.T) {
 	if plain := snap.Stream(); plain.HasColumns() || len(plain.NextSpan(16).Times) != 0 {
 		t.Fatal("plain cursor served a span")
 	}
+}
+
+// spanRequest gathers request i of a span from its columns. A span
+// carries no raw address: its plane entry (checked against the snapshot's
+// plane, itself checked by TestPlaneMatchesGeom) is the address.
+func spanRequest(sc *SpanColumns, i int) Request {
+	return Request{Time: sc.Times[i], Write: sc.Write(i), Core: sc.Cores[i]}
+}
+
+// withoutAddr is r with its address cleared, for comparison with
+// spanRequest.
+func withoutAddr(r Request) Request {
+	r.Addr = 0
+	return r
 }
 
 // benchSink keeps benchmark reads observable to the compiler.

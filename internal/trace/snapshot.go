@@ -315,9 +315,8 @@ func (ss *SnapshotStream) Reset() {
 func (ss *SnapshotStream) Snapshot() *Snapshot { return ss.snap }
 
 // SpanColumns is a zero-copy columnar view of a contiguous run of
-// requests: the decoded arrival times and predecode plane sliced to the
-// span, plus accessors over the snapshot's packed write-bit and address
-// columns. It is what the engine's column path consumes instead of
+// requests: the decoded arrival times, predecode plane and cores sliced
+// to the span, plus an accessor over the snapshot's packed write bits. It is what the engine's column path consumes instead of
 // materialized Request structs — every field a mechanism needs is already
 // a decoded column, so building 24-byte Requests per access is pure
 // overhead there.
@@ -327,7 +326,6 @@ type SpanColumns struct {
 	Cores []byte       // issuing cores, len = span
 
 	writes []byte // whole write bitset (LE word layout)
-	addrs  []byte // whole address column (LE u64s)
 	base   int    // global index of Times[0]
 }
 
@@ -338,22 +336,6 @@ func (sc *SpanColumns) Len() int { return len(sc.Times) }
 func (sc *SpanColumns) Write(i int) bool {
 	p := sc.base + i
 	return sc.writes[p>>3]>>(uint(p)&7)&1 != 0
-}
-
-// Addr returns the address of request i of the span.
-func (sc *SpanColumns) Addr(i int) uint64 {
-	return binary.LittleEndian.Uint64(sc.addrs[8*(sc.base+i):])
-}
-
-// Request materializes request i of the span, for per-request fallback
-// paths inside column accessors (bookkeeping-cache configurations).
-func (sc *SpanColumns) Request(i int) Request {
-	return Request{
-		Time:  sc.Times[i],
-		Addr:  sc.Addr(i),
-		Write: sc.Write(i),
-		Core:  sc.Cores[i],
-	}
 }
 
 // ColumnStream is implemented by streams that can serve their requests as
@@ -387,7 +369,6 @@ func (ss *SnapshotStream) NextSpan(max int) SpanColumns {
 		Dec:    ss.dec[base : base+n],
 		Cores:  s.cores[base : base+n],
 		writes: s.writes,
-		addrs:  s.addrs,
 		base:   base,
 	}
 }
